@@ -56,12 +56,6 @@ ENC_BASE = 0x080F0000
 
 _STUB_SLOT = 192  # bytes reserved per loader stub (guards + decryptor calls)
 
-#: Bump when protection output changes for identical inputs, so cached
-#: protected images from an older pipeline are never replayed.
-#: v2: reports carry protected_addresses and per-chain gadget_spans
-#: (the coverage observatory's inputs).
-PROTECT_CACHE_VERSION = 2
-
 
 class ProtectError(Exception):
     pass
@@ -132,21 +126,19 @@ class Parallax:
 
         Every random choice in the pipeline derives from
         ``config.seed``, so protection is a pure function of the input
-        image and the config — which is exactly the cache key.  A hit
+        image, the config and the package source — which is exactly the
+        cache key.  A hit
         deserializes a fresh image/report pair, indistinguishable from
         a recompute; ``use_cache=False`` forces the full pipeline.
         """
         cache = key = None
         if use_cache:
-            from ..cache import content_key, get_cache
+            from ..cache import get_cache, namespace_key
 
             cache = get_cache("protect", store_blobs=True)
         if cache is not None:
-            key = content_key(
-                "protect",
-                PROTECT_CACHE_VERSION,
-                program.image.fingerprint(),
-                self.config.cache_key(),
+            key = namespace_key(
+                "protect", program.image.fingerprint(), self.config.cache_key()
             )
             hit, value = cache.get(key)
             if hit:

@@ -536,19 +536,20 @@ def build_program(name: str) -> Program:
 def build_program_cached(name: str) -> Program:
     """Content-addressed :func:`build_program`.
 
-    Corpus generation is pure code + fixed seeds, so the key is the
-    package source digest plus the program name: editing any ``repro``
-    source file invalidates the entry, and the corpus-determinism test
+    Corpus generation is pure code + fixed seeds, so the program name
+    is the key's only input (the source digest every key carries covers
+    the code): editing any ``repro`` source file invalidates the entry,
+    and the corpus-determinism test
     suite guards the fixed-seed half of the assumption.  Hits
     deserialize a fresh :class:`Program` (blob-stored), so callers may
     mutate the result freely.
     """
-    from ..cache import content_key, get_cache, package_source_digest
+    from ..cache import get_cache, namespace_key
 
     cache = get_cache("corpus", store_blobs=True)
     if cache is None:
         return build_program(name)
-    key = content_key("corpus", package_source_digest(), name)
+    key = namespace_key("corpus", name)
     return cache.get_or_compute(key, lambda: build_program(name))
 
 

@@ -375,10 +375,8 @@ class BlockEngine:
     def _decode_block(self, start: int):
         """Decode the superblock at ``start``; returns ``(insns, end)``.
 
-        This is the block-shape policy shared with the trace engine
-        (:mod:`repro.emu.traces`), which links these superblocks across
-        their exits.  ``BadFetch`` on the *first* instruction propagates,
-        exactly as the step engine faults before counting the step.
+        ``BadFetch`` on the *first* instruction propagates, exactly as
+        the step engine faults before counting the step.
         """
         emu = self.emulator
         insns = [emu._fetch_decode(start)]

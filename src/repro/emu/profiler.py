@@ -125,8 +125,7 @@ def profile_run(
     how cycles get attributed), so with ``engine="step"`` the hot-spot
     samples come from that same run.  Any other ``engine`` triggers a
     second, hook-free run under that engine so the profiler can record
-    engine-level samples too — superblock executions for ``block``,
-    trace dispatches (``emu.hot.trace.*``) for ``trace``.
+    engine-level samples too — superblock executions for ``block``.
     """
     from .syscalls import OperatingSystem
 

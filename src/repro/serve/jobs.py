@@ -18,14 +18,12 @@ from __future__ import annotations
 import base64
 from typing import Any, Dict, List, Optional
 
-from ..cache import content_key, package_source_digest
+from ..cache import namespace_key
 from ..core import Parallax, ProtectConfig, STRATEGIES
-from ..core.protector import PROTECT_CACHE_VERSION
 from ..corpus import PROGRAM_NAMES, build_program_cached
 
 __all__ = [
     "JOB_KINDS",
-    "SERVE_CACHE_VERSION",
     "make_task",
     "job_key",
     "job_config",
@@ -34,10 +32,6 @@ __all__ = [
 ]
 
 JOB_KINDS = ("protect", "verify", "attack-matrix")
-
-#: Bump when serve payload contents change for identical inputs, so
-#: cached responses from an older serving layer are never replayed.
-SERVE_CACHE_VERSION = 1
 
 #: Emulation budget for verify / attack jobs (full runs, not chains).
 DEFAULT_MAX_STEPS = 50_000_000
@@ -99,16 +93,11 @@ def job_config(task: Dict[str, Any]) -> ProtectConfig:
 def job_key(task: Dict[str, Any]) -> str:
     """Content key for the serve-level response cache + single-flight.
 
-    Keys on the full task plus the protect-cache version and the
-    package source digest: responses depend on the pipeline's *code*
-    as well as its inputs, and the source digest orphans stale entries
-    across code changes with no constant to forget to bump.
+    Keys on the full task; like every cache key it also covers the
+    package source, so a code change orphans stale responses.
     """
-    return content_key(
+    return namespace_key(
         "serve",
-        SERVE_CACHE_VERSION,
-        PROTECT_CACHE_VERSION,
-        package_source_digest(),
         task["kind"],
         task["program"],
         task["strategy"],

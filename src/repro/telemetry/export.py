@@ -563,25 +563,6 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
         lines.append("hottest blocks (executions)")
         for addr, count in hot_blocks[:10]:
             lines.append(f"  {addr:<12} {int(count):>12,}")
-    hot_traces = _hot_series("emu.hot.trace", "head", "emu.hot.trace.head.")
-    if hot_traces:
-        lines.append("hottest traces (dispatches)")
-        for addr, count in hot_traces[:10]:
-            lines.append(f"  {addr:<12} {int(count):>12,}")
-    traces_compiled = _counter(samples, "emu.hot.trace.compiled")
-    traces_retired = _counter(samples, "emu.hot.trace.retired")
-    trace_fallbacks = _counter(samples, "emu.hot.trace.side_exit_fallbacks")
-    if traces_compiled or traces_retired or trace_fallbacks:
-        lines.append("trace engine")
-        lines.append(
-            f"  traces compiled            {int(traces_compiled):>12,}"
-        )
-        lines.append(
-            f"  insns retired in traces    {int(traces_retired):>12,}"
-        )
-        lines.append(
-            f"  cold side-exit fallbacks   {int(trace_fallbacks):>12,}"
-        )
 
     # -- run totals ----------------------------------------------------
     instructions = _counter(samples, "emu.instructions")

@@ -615,31 +615,25 @@ def _decode16(data: bytes, offset: int, address: Optional[int]) -> Instruction:
     raise DecodeError(f"unsupported 16-bit opcode {op:02x}", offset=offset)
 
 
-#: Bump when decode semantics change: stale cached decode results keyed
-#: under an older version can then never be confused with current ones.
-DECODER_VERSION = 1
-
-
 def decode_all_cached(
     data: bytes, address: int = 0, stop_on_error: bool = False
 ) -> List[Instruction]:
     """Content-addressed :func:`decode_all`.
 
-    Keyed on the exact input bytes (plus address and error mode), so two
-    distinct encodings can never alias — equal keys imply equal inputs.
+    Keyed on the exact input bytes (plus address and error mode, and the
+    package source like every cache key), so two distinct encodings can
+    never alias — equal keys imply equal inputs.
     The cached instruction list is shared; callers receive a fresh list
     but must not mutate the instructions themselves (the emulator's
     lazy ``cycle_cost`` memoization is the one sanctioned exception —
     it is idempotent for a given instruction).
     """
-    from ..cache import content_key, get_cache
+    from ..cache import get_cache, namespace_key
 
     cache = get_cache("decode")
     if cache is None:
         return decode_all(data, address=address, stop_on_error=stop_on_error)
-    key = content_key(
-        "decode_all", DECODER_VERSION, bytes(data), address, stop_on_error
-    )
+    key = namespace_key("decode", bytes(data), address, stop_on_error)
     return list(
         cache.get_or_compute(
             key,

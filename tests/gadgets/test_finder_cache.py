@@ -1,8 +1,8 @@
-"""Finder cache correctness: version invalidation and parallel identity.
+"""Finder cache correctness: warm replay and parallel identity.
 
-* A :data:`FINDER_VERSION` bump must orphan every entry written by an
-  older finder — a stale gadget list can never be replayed into a new
-  algorithm's pipeline.
+Stale-replay protection (a source edit orphans every finder entry) is
+covered with the other namespaces in ``tests/pipeline/test_cache.py``.
+
 * Parallel per-section scans (``find_gadgets(jobs=N)``) must leave the
   on-disk cache **byte-identical** to a serial run's: same keys, same
   pickled payloads.  That is what lets pool workers and later serial
@@ -13,14 +13,8 @@ import os
 import pickle
 
 from repro.binary import BinaryImage, Perm, Section
-from repro.cache import cache_session, content_key
-from repro.gadgets import (
-    FINDER_VERSION,
-    find_gadgets,
-    find_gadgets_in_bytes,
-    find_gadgets_in_bytes_cached,
-    reference_find_gadgets,
-)
+from repro.cache import cache_session
+from repro.gadgets import find_gadgets, reference_find_gadgets
 from repro.x86 import Assembler, EAX, EBX, ECX
 
 
@@ -51,36 +45,6 @@ def _disk_snapshot(root):
             with open(path, "rb") as fh:
                 snapshot[os.path.relpath(path, root)] = fh.read()
     return snapshot
-
-
-def test_finder_version_is_bumped_for_the_memoized_scanner():
-    # v1 was the exhaustive per-offset re-decode; the memoized scanner
-    # must carry its own stamp so v1 entries die.
-    assert FINDER_VERSION == 2
-
-
-def test_version_bump_invalidates_prior_entries(tmp_path):
-    a = Assembler()
-    a.pop(EAX); a.ret()
-    data = a.assemble()
-    old_key = content_key("find_gadgets", FINDER_VERSION - 1, data, 0, 6, True)
-    new_key = content_key("find_gadgets", FINDER_VERSION, data, 0, 6, True)
-    assert old_key != new_key
-
-    with cache_session(cache_dir=str(tmp_path)) as manager:
-        cache = manager.get("gadgets")
-        # Poison the previous version's slot with garbage that would be
-        # catastrophic if replayed.
-        cache.put(old_key, ["stale-garbage-from-v%d" % (FINDER_VERSION - 1)])
-        result = find_gadgets_in_bytes_cached(data, base=0)
-        assert _fingerprint(result) == _fingerprint(find_gadgets_in_bytes(data))
-        assert result != ["stale-garbage-from-v%d" % (FINDER_VERSION - 1)]
-        # The stale entry is orphaned, not overwritten: both files exist,
-        # under different keys.
-        hit, stale = cache.get(old_key)
-        assert hit and stale == ["stale-garbage-from-v%d" % (FINDER_VERSION - 1)]
-        hit, fresh = cache.get(new_key)
-        assert hit and _fingerprint(fresh) == _fingerprint(result)
 
 
 def test_cached_scan_replays_identically(tmp_path):

@@ -103,6 +103,66 @@ def test_config_change_changes_cache_key():
 
 
 # ----------------------------------------------------------------------
+# One key rule: every namespace keys on the package source digest
+# ----------------------------------------------------------------------
+
+
+def test_source_change_orphans_protect_gadget_and_decode_entries(
+    small_wget, monkeypatch, tmp_path
+):
+    """An edit to any ``repro`` source file must never replay an entry
+    computed by the old code, even from a persistent cache directory:
+    after the source digest changes, a protect, a finder and a decode
+    lookup each miss, recompute the same answer and store it anew."""
+    import repro.cache
+    from repro.core import Parallax
+    from repro.gadgets import find_gadgets_in_bytes_cached
+    from repro.x86.decoder import decode_all_cached
+
+    config = ProtectConfig(
+        strategy="cleartext", verification_functions=["digest_wget"]
+    )
+    code = bytes(small_wget.image.text.data[:512])
+    lookups = {
+        "protect": lambda: Parallax(config).protect(small_wget).image.fingerprint(),
+        "gadgets": lambda: [
+            (g.address, g.end, g.kind.key())
+            for g in find_gadgets_in_bytes_cached(code, base=0x1000)
+        ],
+        "decode": lambda: [
+            i.raw for i in decode_all_cached(code, stop_on_error=True)
+        ],
+    }
+
+    def lookup(metrics, namespace):
+        def count(event):
+            sample = metrics.to_dict().get(f"cache.{namespace}.{event}")
+            return sample["value"] if sample else 0
+
+        before = {event: count(event) for event in ("hits", "misses", "stores")}
+        result = lookups[namespace]()
+        return result, {event: count(event) - before[event] for event in before}
+
+    with telemetry.telemetry_session(metrics=True) as (metrics, _tracer):
+        with cache_session(cache_dir=str(tmp_path)):
+            fresh = {ns: lookup(metrics, ns)[0] for ns in lookups}
+            for namespace in lookups:  # warm: the entries really replay
+                result, delta = lookup(metrics, namespace)
+                assert result == fresh[namespace]
+                assert delta == {"hits": 1, "misses": 0, "stores": 0}, namespace
+
+            monkeypatch.setattr(repro.cache, "_SOURCE_DIGEST", "0" * 64)
+            for namespace in lookups:
+                result, delta = lookup(metrics, namespace)
+                assert result == fresh[namespace]
+                assert delta["misses"] == 1 and delta["stores"] == 1, namespace
+                assert delta["hits"] == 0, namespace
+                # ... and the recomputed entry replays under the new key.
+                _result, delta = lookup(metrics, namespace)
+                assert delta["hits"] == 1, namespace
+
+
+# ----------------------------------------------------------------------
 # LRU tier
 # ----------------------------------------------------------------------
 
@@ -142,19 +202,44 @@ def test_disk_tier_roundtrip_across_managers(tmp_path):
 
 def test_disk_tier_treats_corrupt_entries_as_misses(tmp_path):
     disk = DiskTier(str(tmp_path))
-    key = content_key("corrupt")
-    disk.put_blob("unit", key, pickle.dumps("fine"))
-    path = disk._path("unit", key)
-    with open(path, "wb") as fh:
-        fh.write(b"\x80garbage-not-a-pickle")
-    cache = ContentCache("unit", disk=disk)
-    hit, value = cache.get(key)
+    valid = pickle.dumps(["fine"] * 64)
+    bad_blobs = {
+        "garbage": b"\x80garbage-not-a-pickle",
+        "truncated": valid[: len(valid) // 2],
+    }
+    for name, bad in bad_blobs.items():
+        key = content_key("corrupt", name)
+        disk.put_blob("unit", key, valid)
+        with open(disk._path("unit", key), "wb") as fh:
+            fh.write(bad)
+        cache = ContentCache("unit", disk=disk)
+        with telemetry.telemetry_session(metrics=True) as (metrics, _tracer):
+            hit, value = cache.get(key)
+            samples = metrics.to_dict()
+        assert not hit and value is None, name
+        assert samples["cache.unit.disk_corrupt"]["value"] == 1, name
+        assert samples["cache.unit.misses"]["value"] == 1, name
+        # and the entry can be overwritten afterwards
+        cache.put(key, "recovered")
+        with cache_session(cache_dir=str(tmp_path)) as manager:
+            hit, value = manager.get("unit").get(key)
+        assert hit and value == "recovered", name
+
+
+def test_unwritable_disk_tier_degrades_to_counted_misses(tmp_path):
+    # A regular file where the namespace directory belongs makes every
+    # shard path fail with ENOTDIR — unlike chmod, this holds for root.
+    (tmp_path / "unit").write_bytes(b"not a directory")
+    disk = DiskTier(str(tmp_path))
+    key = content_key("enotdir")
+    with telemetry.telemetry_session(metrics=True) as (metrics, _tracer):
+        ContentCache("unit", disk=disk).put(key, "value")  # must not raise
+        # A fresh memory tier, so the lookup has only the disk to go to.
+        hit, value = ContentCache("unit", disk=disk).get(key)
+        samples = metrics.to_dict()
     assert not hit and value is None
-    # and the entry can be overwritten afterwards
-    cache.put(key, "recovered")
-    with cache_session(cache_dir=str(tmp_path)) as manager:
-        hit, value = manager.get("unit").get(key)
-    assert hit and value == "recovered"
+    assert samples["cache.unit.misses"]["value"] == 1
+    assert disk.entry_count("unit") == 0
 
 
 def test_disk_writes_are_atomic_no_tmp_residue(tmp_path):

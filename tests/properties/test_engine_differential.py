@@ -1,13 +1,13 @@
-"""Differential property: every compiled engine is observationally
+"""Differential property: the compiled block engine is observationally
 identical to the reference step interpreter.
 
 Randomly generated corpus programs (and their protected variants) must
 produce the exact same ``RunResult`` — exit status, step count, cycle
-count, stdout bytes and fault — under all engines in
-:data:`repro.emu.ENGINES` (step, block, trace).  The adversarial cases
+count, stdout bytes and fault — under both engines in
+:data:`repro.emu.ENGINES` (step and block).  The adversarial cases
 ride along: the Wurster code-view overlay and mid-run tamper/restore
-of mapped code, both of which must invalidate any superblocks or
-linked traces compiled over the affected bytes.
+of mapped code, both of which must invalidate any superblocks compiled
+over the affected bytes.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -197,8 +197,6 @@ SEED = 0xD1FF
 def _advance(emulator, n):
     if emulator.engine == "block":
         emulator.blocks.run_steps(n)
-    elif emulator.engine == "trace":
-        emulator.traces.run_steps(n)
     else:
         for _ in range(n):
             emulator.step()

@@ -189,13 +189,10 @@ def test_decode_cache_distinguishes_equivalent_encodings():
 @settings(max_examples=200)
 @given(st.binary(min_size=1, max_size=8), st.binary(min_size=1, max_size=8))
 def test_decode_cache_keys_distinct_for_distinct_inputs(a, b):
-    from repro.cache import content_key
-    from repro.x86.decoder import DECODER_VERSION
+    from repro.cache import namespace_key
 
     def key(data, address=0, stop_on_error=False):
-        return content_key(
-            "decode_all", DECODER_VERSION, data, address, stop_on_error
-        )
+        return namespace_key("decode", data, address, stop_on_error)
 
     if a != b:
         assert key(a) != key(b)

@@ -274,3 +274,14 @@ def test_server_thread_stop_is_idempotent(serve_env):
             assert c.get("/healthz")[0] == 200
         srv.stop()
     srv.stop()  # exit + explicit double-stop must not raise
+
+
+def test_server_thread_builds_its_own_process_pool(serve_env):
+    # The default executor: ServerThread configures the serving cache
+    # and forks its worker pool itself before the loop thread starts.
+    config = ServeConfig(port=0, executor="process", jobs=1)
+    with ServerThread(config) as srv:
+        with ServeClient("127.0.0.1", srv.port, timeout=60) as c:
+            status, _headers, payload = c.get("/healthz")
+    assert status == 200
+    assert payload["executor"] == "process"
