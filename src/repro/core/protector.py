@@ -131,7 +131,7 @@ class Parallax:
         deserializes a fresh image/report pair, indistinguishable from
         a recompute; ``use_cache=False`` forces the full pipeline.
         """
-        cache = key = None
+        cache = key = protected = None
         if use_cache:
             from ..cache import get_cache, namespace_key
 
@@ -142,28 +142,15 @@ class Parallax:
             )
             hit, value = cache.get(key)
             if hit:
-                image, report = value
-                with get_tracer().span(
-                    "protect",
-                    program=program.name,
-                    strategy=self.config.strategy,
-                    cached=True,
-                ) as span:
-                    span.set_attribute("chains", len(report.chains))
-                recorder = get_recorder()
-                if recorder.enabled:
-                    recorder.record(
-                        "protect",
-                        program=program.name,
-                        strategy=self.config.strategy,
-                        chains=len(report.chains),
-                        cached=True,
-                    )
-                return ProtectedProgram(program, image, report)
+                protected = ProtectedProgram(program, *value)
+        cached = protected is not None
         with get_tracer().span(
             "protect", program=program.name, strategy=self.config.strategy
         ) as span:
-            protected = self._protect(program)
+            if cached:
+                span.set_attribute("cached", True)
+            else:
+                protected = self._protect(program)
             span.set_attribute("chains", len(protected.report.chains))
         recorder = get_recorder()
         if recorder.enabled:
@@ -172,9 +159,9 @@ class Parallax:
                 program=program.name,
                 strategy=self.config.strategy,
                 chains=len(protected.report.chains),
-                cached=False,
+                cached=cached,
             )
-        if cache is not None:
+        if cache is not None and not cached:
             cache.put(key, (protected.image, protected.report))
         return protected
 

@@ -15,8 +15,8 @@ Counting strategy, chosen so the block engine keeps its speed edge:
   generated block bodies stay untouched and full-speed.
 
 Both engines feed the same :class:`HotspotProfiler`; ``repro profile``
-and the metrics export (``emu.hot.mnemonic.*`` / ``emu.hot.block.*``)
-render the merged view.
+and the metrics export (the labeled families ``emu.hot.mnemonic{mnemonic=}``
+and ``emu.hot.block{addr=}``) render the merged view.
 """
 
 from __future__ import annotations

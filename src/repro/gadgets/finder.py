@@ -362,14 +362,13 @@ def _scan_section_task(task: dict) -> dict:
     the parent can merge counter samples deterministically, in section
     order, regardless of worker completion order.
     """
-    from ..telemetry import MetricsRegistry, suspend_context, task_telemetry
+    from ..telemetry import MetricsRegistry, TelemetryContext
 
     registry = MetricsRegistry(enabled=True)
-    # Thread-local override plus a suspended TelemetryContext: the
-    # private registry receives the samples (even with scans running on
-    # several threads at once) and the parent labels them once at merge
-    # time, same as the protect-all pipeline.
-    with task_telemetry(metrics=registry), suspend_context():
+    # A private scope: the registry receives the samples (even with
+    # scans running on several threads at once) and the parent labels
+    # them once at merge time, same as the protect-all pipeline.
+    with TelemetryContext.private(metrics=registry):
         gadgets = find_gadgets_in_bytes_cached(
             task["data"],
             base=task["base"],

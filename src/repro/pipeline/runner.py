@@ -35,12 +35,11 @@ from ..corpus import PROGRAM_NAMES, build_program_cached
 from ..telemetry import (
     FlightRecorder,
     MetricsRegistry,
+    TelemetryContext,
     Tracer,
     get_metrics,
     get_recorder,
     get_tracer,
-    suspend_context,
-    task_telemetry,
 )
 from .pool import mp_context, worker_init
 
@@ -160,21 +159,21 @@ def _run_task(task: dict) -> dict:
     the parent's recorder is on (``task["recording"]``), shipped back
     for :meth:`FlightRecorder.ingest`.
 
-    Any active :class:`~repro.telemetry.context.TelemetryContext` is
-    suspended for the task body: samples collect in the private
+    The private objects are installed as a private telemetry scope
+    (:meth:`TelemetryContext.private`), which hides any enclosing
+    labeled context for the task body: samples collect in the private
     registry here and the *parent* labels them exactly once at merge
     time, keeping the inline ``jobs=1`` path identical to pool workers
-    (which run context-free via ``worker_init``).
+    (which run scope-free via ``worker_init``).  The scope lives in a
+    ContextVar, so two threads running inline pipelines concurrently
+    never see each other's task registries.
     """
     name = task["name"]
     config: ProtectConfig = task["config"]
     registry = MetricsRegistry(enabled=True)
     tracer = Tracer(enabled=bool(task.get("tracing")))
     recorder = FlightRecorder(enabled=bool(task.get("recording")))
-    # The private objects are installed thread-locally (ContextVar), not
-    # by swapping the process-wide telemetry: two threads running inline
-    # pipelines concurrently must not see each other's task registries.
-    with task_telemetry(registry, tracer, recorder), suspend_context():
+    with TelemetryContext.private(registry, tracer, recorder):
         start = time.perf_counter()
         program = build_program_cached(name)
         protected = Parallax(config).protect(

@@ -17,11 +17,11 @@ are only installed when a tracer is enabled).  :func:`configure` flips
 any side on; :func:`telemetry_session` scopes that to a ``with`` block
 and restores the previous state afterwards.
 
-Request scoping: when a :class:`TelemetryContext` is active on the
-current thread/task, :func:`get_metrics`, :func:`get_tracer` and
-:func:`get_recorder` return its label-scoped child objects instead of
-the globals; the context merges everything back into the globals under
-its labels on exit (see :mod:`repro.telemetry.context`).
+Request scoping: inside a :class:`TelemetryContext`, :func:`get_metrics`,
+:func:`get_tracer` and :func:`get_recorder` return the innermost
+scope's objects instead of the process root's; a labeled context
+merges everything back into the root under its labels on exit (see
+:mod:`repro.telemetry.context`).
 
 Exporters live in :mod:`repro.telemetry.export`: Chrome trace-event
 JSON from the tracer, Prometheus text from the registry, and the
@@ -38,13 +38,14 @@ from typing import Optional
 
 from .chains import ChainExecutionTracer, ChainStep, trace_chain_run
 from .context import (
+    _ROOT,
     TelemetryContext,
     clear_context,
     current_context,
     current_labels,
-    current_task_telemetry,
-    suspend_context,
-    task_telemetry,
+    get_metrics,
+    get_recorder,
+    get_tracer,
     telemetry_context,
 )
 from .export import (
@@ -56,87 +57,33 @@ from .export import (
     write_chrome_trace,
     write_prometheus,
 )
-from .metrics import (
-    Counter,
-    DEFAULT_TIME_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .overhead import (
     OverheadReport,
     measure_overhead,
     publish_overhead,
     self_accounting,
 )
-from .recorder import FlightRecorder, get_recorder, set_recorder
+from .recorder import FlightRecorder
 from .tracing import Span, Tracer
 from .windows import RollingWindow, WindowSet
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "Timer", "MetricsRegistry",
-    "DEFAULT_TIME_BUCKETS",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "Span", "Tracer",
-    "FlightRecorder", "get_recorder", "set_recorder",
+    "FlightRecorder", "get_recorder",
     "ChainStep", "ChainExecutionTracer", "trace_chain_run",
     "TelemetryContext", "telemetry_context", "current_context",
-    "current_labels", "suspend_context", "clear_context",
-    "task_telemetry", "current_task_telemetry",
+    "current_labels", "clear_context",
     "RollingWindow", "WindowSet",
     "OverheadReport", "measure_overhead", "publish_overhead",
     "self_accounting",
     "chrome_trace", "write_chrome_trace",
     "prometheus_text", "write_prometheus",
     "ARTIFACT_KINDS", "load_artifact", "render_stats",
-    "get_metrics", "set_metrics", "get_tracer", "set_tracer",
+    "get_metrics", "get_tracer",
     "configure", "disable", "telemetry_session",
 ]
-
-_metrics = MetricsRegistry(enabled=False)
-_tracer = Tracer(enabled=False)
-
-
-def _global_metrics() -> MetricsRegistry:
-    """The process-wide registry, ignoring any active context."""
-    return _metrics
-
-
-def _global_tracer() -> Tracer:
-    """The process-wide tracer, ignoring any active context."""
-    return _tracer
-
-
-def get_metrics() -> MetricsRegistry:
-    """The task override's registry, else the active context's, else
-    the process-wide one (disabled until configured)."""
-    task = current_task_telemetry()
-    if task is not None and task.metrics is not None:
-        return task.metrics
-    ctx = current_context()
-    return ctx.metrics if ctx is not None else _metrics
-
-
-def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    global _metrics
-    previous, _metrics = _metrics, registry
-    return previous
-
-
-def get_tracer() -> Tracer:
-    """The task override's tracer, else the active context's, else the
-    process-wide one (disabled until configured)."""
-    task = current_task_telemetry()
-    if task is not None and task.tracer is not None:
-        return task.tracer
-    ctx = current_context()
-    return ctx.tracer if ctx is not None else _tracer
-
-
-def set_tracer(tracer: Tracer) -> Tracer:
-    global _tracer
-    previous, _tracer = _tracer, tracer
-    return previous
 
 
 def configure(
@@ -150,14 +97,12 @@ def configure(
     registry keeps its instruments; use ``get_metrics().reset()`` for a
     clean slate (likewise ``get_recorder().clear()``).
     """
-    from .recorder import _recorder
-
     if metrics is not None:
-        _metrics.enabled = metrics
+        _ROOT.metrics.enabled = metrics
     if tracing is not None:
-        _tracer.enabled = tracing
+        _ROOT.tracer.enabled = tracing
     if recorder is not None:
-        _recorder.enabled = recorder
+        _ROOT.recorder.enabled = recorder
 
 
 def disable() -> None:
@@ -181,19 +126,12 @@ def telemetry_session(
     ``recorder_capacity`` events (default: ``REPRO_RECORDER_EVENTS``
     or 8192).
     """
-    new_metrics = MetricsRegistry(enabled=metrics)
-    new_tracer = Tracer(enabled=tracing)
-    old_metrics = set_metrics(new_metrics)
-    old_tracer = set_tracer(new_tracer)
-    old_recorder = (
-        set_recorder(FlightRecorder(capacity=recorder_capacity, enabled=True))
-        if recorder
-        else None
-    )
+    saved = (_ROOT.metrics, _ROOT.tracer, _ROOT.recorder)
+    new_metrics = _ROOT.metrics = MetricsRegistry(enabled=metrics)
+    new_tracer = _ROOT.tracer = Tracer(enabled=tracing)
+    if recorder:
+        _ROOT.recorder = FlightRecorder(capacity=recorder_capacity, enabled=True)
     try:
         yield new_metrics, new_tracer
     finally:
-        set_metrics(old_metrics)
-        set_tracer(old_tracer)
-        if old_recorder is not None:
-            set_recorder(old_recorder)
+        _ROOT.metrics, _ROOT.tracer, _ROOT.recorder = saved

@@ -21,7 +21,7 @@ import os
 import re
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .metrics import MetricsRegistry, _ensure_parent_dir
+from .metrics import Histogram, MetricsRegistry, _ensure_parent_dir
 from .tracing import Tracer
 
 __all__ = [
@@ -345,39 +345,6 @@ def _counter(samples: Dict[str, dict], name: str) -> float:
     return samples.get(name, {}).get("value", 0)
 
 
-def _sample_quantile(sample: dict, q: float) -> float:
-    """Quantile estimate from an exported histogram sample dict —
-    mirrors :meth:`repro.telemetry.metrics.Histogram.quantile`."""
-    count = sample.get("count", 0)
-    if not count:
-        return 0.0
-    lo = sample.get("min")
-    hi = sample.get("max")
-    if q == 0.0:
-        return lo if lo is not None else 0.0
-    target = q * count
-    cumulative = 0
-    previous_bound = lo if lo is not None else 0.0
-    for bucket in sample.get("buckets", []):
-        bound = bucket["le"]
-        in_bucket = bucket["count"]
-        if bound == "+Inf":
-            break
-        bound = float(bound)
-        if cumulative + in_bucket >= target:
-            lower = min(previous_bound, bound)
-            fraction = (target - cumulative) / in_bucket
-            estimate = lower + (bound - lower) * fraction
-            if lo is not None:
-                estimate = max(estimate, lo)
-            if hi is not None:
-                estimate = min(estimate, hi)
-            return estimate
-        cumulative += in_bucket
-        previous_bound = bound
-    return hi if hi is not None else previous_bound
-
-
 def _fmt_rate(num: float, den: float) -> str:
     return f"{num / den:.2%}" if den else "n/a"
 
@@ -502,8 +469,7 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
         sample = samples.get(name)
         if sample is not None and sample.get("type") == "histogram":
             latency_rows.append((name.rsplit(".", 1)[-1], sample))
-    # Per attack x rule cells: labeled series on the family (current),
-    # with dotted-suffix names still understood for older artifacts.
+    # Per attack x rule cells: labeled series on the family.
     cell_rows = []
     for key, sample in samples.items():
         if sample.get("type") != "histogram":
@@ -513,19 +479,16 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
             cell_rows.append(
                 (f"{labels['attack']}.{labels.get('rule', '?')}", sample)
             )
-        elif key.startswith("attacks.cycles_to_detection.") and not labels:
-            cell_rows.append(
-                (key[len("attacks.cycles_to_detection."):], sample)
-            )
     cells = sorted(cell_rows)
     if latency_rows or cells:
         lines.append("detection latency (emulated cycles from tamper)")
         for label, sample in latency_rows:
+            histogram = Histogram.from_sample(sample)
             lines.append(
                 f"  {label:<22} n={sample['count']:<5}"
                 f" mean={sample['mean']:>12,.0f}"
-                f" p50={_sample_quantile(sample, 0.5):>12,.0f}"
-                f" p90={_sample_quantile(sample, 0.9):>12,.0f}"
+                f" p50={histogram.quantile(0.5):>12,.0f}"
+                f" p90={histogram.quantile(0.9):>12,.0f}"
                 f" max={sample['max'] or 0:>12,.0f}"
             )
         if cells:
@@ -538,7 +501,7 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
                 )
 
     # -- hottest mnemonics --------------------------------------------
-    def _hot_series(family: str, label: str, legacy_prefix: str):
+    def _hot_series(family: str, label: str):
         rows = []
         for key, sample in samples.items():
             if sample.get("type") != "counter":
@@ -546,11 +509,9 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
             name, labels = _sample_identity(key, sample)
             if name == family and label in labels:
                 rows.append((labels[label], sample["value"]))
-            elif key.startswith(legacy_prefix) and not labels:
-                rows.append((key[len(legacy_prefix):], sample["value"]))
         return sorted(rows, key=lambda pair: (-pair[1], pair[0]))
 
-    hot = _hot_series("emu.hot.mnemonic", "mnemonic", "emu.hot.mnemonic.")
+    hot = _hot_series("emu.hot.mnemonic", "mnemonic")
     if hot:
         total = sum(count for _, count in hot)
         lines.append("hottest mnemonics (top 10)")
@@ -558,7 +519,7 @@ def _stats_metrics(samples: Dict[str, dict]) -> List[str]:
             lines.append(
                 f"  {mnemonic:<8} {int(count):>14,}   ({_fmt_rate(count, total)})"
             )
-    hot_blocks = _hot_series("emu.hot.block", "addr", "emu.hot.block.")
+    hot_blocks = _hot_series("emu.hot.block", "addr")
     if hot_blocks:
         lines.append("hottest blocks (executions)")
         for addr, count in hot_blocks[:10]:

@@ -4,7 +4,8 @@ The whole telemetry substrate is justified by one claim: leaving it on
 is cheap.  This module makes that claim falsifiable.
 :func:`measure_overhead` times a representative workload with
 telemetry fully disabled and again with metrics + tracing + recorder
-enabled, and reports the enabled-overhead fraction; CI runs it (see
+enabled, in interleaved pairs, and reports the median per-pair
+enabled-overhead fraction; CI runs it (see
 ``benchmarks/bench_telemetry_overhead.py``) and fails the build when
 the fraction exceeds the budget (default **5%**, override with
 ``REPRO_TELEMETRY_BUDGET``).
@@ -18,10 +19,12 @@ its own collection.
 
 from __future__ import annotations
 
+import gc
 import os
+import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -50,17 +53,25 @@ def configured_budget() -> float:
 
 @dataclass
 class OverheadReport:
-    """Result of one off-vs-on overhead measurement."""
+    """Result of one off-vs-on overhead measurement.
+
+    ``ratios`` holds the on/off wall-time ratio of each interleaved
+    pair; when present the overhead is their median, otherwise it is
+    derived from ``off_seconds``/``on_seconds``.
+    """
 
     off_seconds: float
     on_seconds: float
     budget: float
     repeats: int
     recorder_self_seconds: float = 0.0
+    ratios: Tuple[float, ...] = ()
 
     @property
     def fraction(self) -> float:
         """Enabled overhead relative to the disabled runtime (>= 0)."""
+        if self.ratios:
+            return max(0.0, statistics.median(self.ratios) - 1.0)
         if self.off_seconds <= 0:
             return 0.0
         return max(0.0, (self.on_seconds - self.off_seconds) / self.off_seconds)
@@ -89,26 +100,29 @@ class OverheadReport:
         )
 
 
-def _best_of(workload: Callable[[], None], repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        workload()
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-    return best
+def _timed(workload: Callable[[], None]) -> float:
+    # Start each timed run on a clean heap, so garbage one arm left
+    # behind is never collected on the other arm's clock.
+    gc.collect()
+    started = time.perf_counter()
+    workload()
+    return time.perf_counter() - started
 
 
 def measure_overhead(
     workload: Callable[[], None],
-    repeats: int = 3,
+    repeats: int = 16,
     budget: Optional[float] = None,
     warmup: int = 1,
 ) -> OverheadReport:
-    """Time ``workload`` telemetry-off vs telemetry-on (best of
-    ``repeats``); interleaving-free: all off runs, then all on runs,
-    after ``warmup`` untimed calls to absorb import/JIT warm-up.
+    """Time ``workload`` telemetry-off vs telemetry-on in ``repeats``
+    interleaved pairs, after ``warmup`` untimed calls to absorb
+    import/JIT warm-up.
+
+    Each pair runs both arms back to back, alternating which arm goes
+    first, so host drift between pairs cancels out of the per-pair
+    on/off ratio; the reported overhead is the median ratio.  The
+    report's ``off_seconds``/``on_seconds`` are the per-arm medians.
 
     The "on" configuration is the most expensive supported one —
     metrics, tracing *and* the flight recorder enabled — so the
@@ -116,20 +130,30 @@ def measure_overhead(
     """
     from . import get_recorder, telemetry_session
 
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     budget = configured_budget() if budget is None else budget
     for _ in range(warmup):
         workload()
-    with telemetry_session(metrics=False, tracing=False):
-        off_seconds = _best_of(workload, repeats)
-    with telemetry_session(metrics=True, tracing=True, recorder=True):
-        on_seconds = _best_of(workload, repeats)
-        recorder_self = get_recorder().self_seconds
+    off: List[float] = []
+    on: List[float] = []
+    recorder_self = 0.0
+    for pair in range(repeats):
+        for enabled in (False, True) if pair % 2 == 0 else (True, False):
+            with telemetry_session(
+                metrics=enabled, tracing=enabled, recorder=enabled
+            ):
+                elapsed = _timed(workload)
+                if enabled:
+                    recorder_self += get_recorder().self_seconds
+            (on if enabled else off).append(elapsed)
     return OverheadReport(
-        off_seconds=off_seconds,
-        on_seconds=on_seconds,
+        off_seconds=statistics.median(off),
+        on_seconds=statistics.median(on),
         budget=budget,
         repeats=repeats,
         recorder_self_seconds=recorder_self,
+        ratios=tuple(b / a for a, b in zip(off, on)),
     )
 
 

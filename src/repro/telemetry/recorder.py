@@ -61,8 +61,6 @@ from .metrics import _ensure_parent_dir
 
 __all__ = [
     "FlightRecorder",
-    "get_recorder",
-    "set_recorder",
     "default_capacity",
 ]
 
@@ -268,32 +266,3 @@ class FlightRecorder:
             f"events, {self.dropped} dropped>"
         )
 
-
-#: Process-wide recorder; starts disabled, like the registry and tracer.
-_recorder = FlightRecorder(enabled=False)
-
-
-def get_recorder():
-    """The process-wide flight recorder (disabled until configured).
-
-    When a task-private override (:class:`~repro.telemetry.context.\
-task_telemetry`) is installed on this thread, its recorder wins.
-    Otherwise, when a :class:`~repro.telemetry.context.TelemetryContext`
-    is active, a view that stamps the context's labels onto every event
-    is returned instead — same recorder, same ring, labeled events.
-    """
-    from .context import current_context, current_task_telemetry
-
-    task = current_task_telemetry()
-    if task is not None and task.recorder is not None:
-        return task.recorder
-    ctx = current_context()
-    if ctx is not None:
-        return ctx.recorder
-    return _recorder
-
-
-def set_recorder(recorder: FlightRecorder) -> FlightRecorder:
-    global _recorder
-    previous, _recorder = _recorder, recorder
-    return previous

@@ -77,16 +77,12 @@ def test_parallel_and_serial_scans_write_identical_cache_bytes(tmp_path):
 
 
 def test_parallel_scan_merges_worker_metrics_deterministically(tmp_path):
-    from repro.telemetry import MetricsRegistry, set_metrics
+    from repro.telemetry import telemetry_session
 
     def counters(jobs):
-        registry = MetricsRegistry(enabled=True)
-        previous = set_metrics(registry)
-        try:
+        with telemetry_session(metrics=True) as (registry, _tracer):
             with cache_session(enabled=False):
                 find_gadgets(_multi_section_image(), jobs=jobs)
-        finally:
-            set_metrics(previous)
         samples = registry.to_dict()
         return {
             name: samples[name]["value"]

@@ -29,7 +29,7 @@ from repro.gadgets.finder import (
     find_gadgets_in_bytes,
     reference_find_gadgets_in_bytes,
 )
-from repro.telemetry import MetricsRegistry, set_metrics
+from repro.telemetry import telemetry_session
 
 RET, RET_IMM16, RETF, RETF_IMM16 = 0xC3, 0xC2, 0xCB, 0xCA
 
@@ -50,12 +50,8 @@ _buffers = st.lists(_byte, min_size=0, max_size=160).map(bytes)
 
 def _counters(fn, data, **kwargs):
     """Run ``fn`` under a private registry; return (gadgets, counters)."""
-    registry = MetricsRegistry(enabled=True)
-    previous = set_metrics(registry)
-    try:
+    with telemetry_session(metrics=True) as (registry, _tracer):
         gadgets = fn(data, **kwargs)
-    finally:
-        set_metrics(previous)
     samples = registry.to_dict()
     return gadgets, {
         name: samples[name]["value"]

@@ -4,15 +4,15 @@ import threading
 
 import pytest
 
-from repro import telemetry
 from repro.telemetry import (
+    MetricsRegistry,
     TelemetryContext,
+    Tracer,
     current_context,
     current_labels,
     get_metrics,
     get_recorder,
     get_tracer,
-    suspend_context,
     telemetry_context,
     telemetry_session,
 )
@@ -84,36 +84,50 @@ def test_context_mirrors_disabled_state():
     with telemetry_context(request="r1"):
         counter = get_metrics().counter("c")
         counter.inc()  # null instrument, nothing recorded
-    assert telemetry._global_metrics().to_dict() == {}
+    assert get_metrics().to_dict() == {}
 
 
-def test_suspend_context_restores_global_accessors():
-    with telemetry_session() as (global_metrics, _tracer):
-        with telemetry_context(request="r1"):
-            with suspend_context():
+def test_private_scope_hides_enclosing_context_until_exit():
+    with telemetry_session(recorder=True) as (global_metrics, _tracer):
+        root_recorder = get_recorder()
+        with telemetry_context(request="r1") as ctx:
+            registry = MetricsRegistry()
+            tracer = Tracer()
+            with TelemetryContext.private(metrics=registry, tracer=tracer):
+                # the private scope's own objects win ...
+                assert get_metrics() is registry
+                assert get_tracer() is tracer
+                # ... and what it was not given resolves to the root,
+                # not to the enclosing labeled context
+                assert get_recorder() is root_recorder
                 assert current_context() is None
-                assert get_metrics() is global_metrics
-            assert current_context() is not None
+                assert current_labels() == {}
+                get_metrics().counter("c").inc()
+            assert current_context() is ctx
+            assert get_metrics() is ctx.metrics
+            assert get_recorder() is ctx.recorder
+        # a private scope never flushes: its caller ships the samples
+        assert registry.to_dict()["c"]["value"] == 1
+        assert global_metrics.to_dict() == {}
+        assert get_metrics() is global_metrics
 
 
 def test_recorder_view_stamps_ctx_field_live():
     with telemetry_session(recorder=True):
-        base = telemetry._global_metrics()  # noqa: F841 (session active)
         seen = []
-        from repro.telemetry.recorder import _recorder
-
-        _recorder.subscribe(seen.append)
+        recorder = get_recorder()
+        recorder.subscribe(seen.append)
         try:
             with telemetry_context(request="r1", tenant="acme"):
                 get_recorder().record("protect", program="wget")
         finally:
-            _recorder.unsubscribe(seen.append)
+            recorder.unsubscribe(seen.append)
         # the event reached the global ring (and subscribers) while the
         # context was still open — labeled live, not at flush time
         (event,) = seen
         assert event["kind"] == "protect"
         assert event["ctx"] == {"request": "r1", "tenant": "acme"}
-        (retained,) = _recorder.to_events()
+        (retained,) = recorder.to_events()
         assert retained["ctx"] == {"request": "r1", "tenant": "acme"}
 
 
@@ -150,3 +164,49 @@ def test_threaded_contexts_are_isolated_and_reconcile():
         assert global_metrics.family_total("work.items") == sum(
             increments.values()
         )
+
+
+def test_private_scopes_stay_private_under_thread_switching():
+    """More threads than cores, a tiny switch interval: each thread's
+    private scope inside its labeled context keeps its own counts, and
+    the labeled counts still reconcile with the root."""
+    import sys
+
+    n_threads, n_incs = 8, 2000
+    registries = {}
+    errors = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with telemetry_session() as (global_metrics, _tracer):
+
+            def work(request):
+                try:
+                    with telemetry_context(request=request):
+                        registry = MetricsRegistry()
+                        with TelemetryContext.private(metrics=registry):
+                            for _ in range(n_incs):
+                                get_metrics().counter("private").inc()
+                        for _ in range(n_incs):
+                            get_metrics().counter("labeled").inc()
+                    registries[request] = registry
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=work, args=(f"r{i}",))
+                for i in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(registries) == n_threads
+    for registry in registries.values():
+        assert registry.to_dict()["private"]["value"] == n_incs
+    assert "private" not in global_metrics
+    assert global_metrics.family_total("labeled") == n_threads * n_incs

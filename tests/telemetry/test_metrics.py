@@ -1,7 +1,6 @@
-"""Metrics registry: instruments, buckets, timers, no-op mode, export."""
+"""Metrics registry: instruments, buckets, no-op mode, export."""
 
 import json
-import time
 
 import pytest
 
@@ -14,7 +13,7 @@ from repro.telemetry.metrics import (
     NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
-    NULL_TIMER,
+    Histogram,
 )
 
 
@@ -77,49 +76,17 @@ def test_type_conflicts_rejected():
         registry.histogram("name")
 
 
-def test_timer_uses_monotonic_clock_and_records():
-    registry = MetricsRegistry()
-    with registry.timer("t", buckets=(0.001, 0.1, 10.0)):
-        time.sleep(0.01)
-    hist = registry.get("t")
-    assert hist.count == 1
-    # Slept 10ms: the measured duration must be >= the sleep (a wall
-    # clock stepping backwards would violate this) and well under 10s.
-    assert 0.009 <= hist.sum < 10.0
-
-
-def test_timer_as_decorator():
-    registry = MetricsRegistry()
-
-    @registry.timer("decorated")
-    def work():
-        return 7
-
-    assert work() == 7
-    assert work() == 7
-    assert registry.get("decorated").count == 2
-
-
-def test_timer_stop_without_start_raises():
-    registry = MetricsRegistry()
-    with pytest.raises(RuntimeError):
-        registry.timer("t").stop()
-
-
 def test_disabled_registry_emits_nothing():
     registry = MetricsRegistry(enabled=False)
     registry.counter("c").inc(100)
     registry.gauge("g").set(5)
     registry.histogram("h").observe(1)
-    with registry.timer("t"):
-        pass
     assert len(registry) == 0
     assert registry.to_dict() == {}
     # Disabled accessors hand out the shared null instruments.
     assert registry.counter("c") is NULL_COUNTER
     assert registry.gauge("g") is NULL_GAUGE
     assert registry.histogram("h") is NULL_HISTOGRAM
-    assert registry.timer("t") is NULL_TIMER
     assert NULL_COUNTER.value == 0  # the null counter never moves
 
 
@@ -240,34 +207,43 @@ def test_histogram_stddev_degenerate_cases():
     assert clamped.stddev == 0.0
 
 
+def _quantile_paths(hist):
+    """The live histogram's quantile and the exported-sample path
+    (``repro stats`` reads quantiles off an exported artifact)."""
+    return (hist.quantile, Histogram.from_sample(hist.to_dict()).quantile)
+
+
 def test_histogram_quantile_interpolates_within_buckets():
     registry = MetricsRegistry()
     hist = registry.histogram("q", buckets=(10, 20, 30))
     for value in range(1, 31):  # 1..30 uniform: 10 per bucket
         hist.observe(value)
-    assert hist.quantile(0.0) == 1  # exact min
-    assert hist.quantile(1.0) == 30  # clamped to observed max
-    # median target rank 15 lands mid second bucket (10, 20]
-    assert 10 <= hist.quantile(0.5) <= 20
-    assert hist.quantile(0.5) == pytest.approx(15.0)
-    assert hist.quantile(0.25) <= hist.quantile(0.75)
+    for quantile in _quantile_paths(hist):
+        assert quantile(0.0) == 1  # exact min
+        assert quantile(1.0) == 30  # clamped to observed max
+        # median target rank 15 lands mid second bucket (10, 20]
+        assert 10 <= quantile(0.5) <= 20
+        assert quantile(0.5) == pytest.approx(15.0)
+        assert quantile(0.25) <= quantile(0.75)
 
 
 def test_histogram_quantile_bounds_and_overflow():
     registry = MetricsRegistry()
     hist = registry.histogram("q", buckets=(1, 10))
-    with pytest.raises(ValueError):
-        hist.quantile(-0.1)
-    with pytest.raises(ValueError):
-        hist.quantile(1.1)
-    assert hist.quantile(0.5) == 0.0  # empty histogram
+    for quantile in _quantile_paths(hist):
+        with pytest.raises(ValueError):
+            quantile(-0.1)
+        with pytest.raises(ValueError):
+            quantile(1.1)
+        assert quantile(0.5) == 0.0  # empty histogram
     hist.observe(5)
     hist.observe(5000)  # +Inf overflow
-    # a rank inside the overflow bucket reports the observed max, the
-    # only finite bound available
-    assert hist.quantile(0.99) == 5000
-    # estimates never leave [min, max]
-    assert hist.quantile(0.25) >= hist.min
+    for quantile in _quantile_paths(hist):
+        # a rank inside the overflow bucket reports the observed max,
+        # the only finite bound available
+        assert quantile(0.99) == 5000
+        # estimates never leave [min, max]
+        assert quantile(0.25) >= hist.min
 
 
 def test_histogram_empty_quantiles_and_moments():
@@ -276,8 +252,9 @@ def test_histogram_empty_quantiles_and_moments():
     assert hist.count == 0
     assert hist.mean == 0.0
     assert hist.stddev == 0.0
-    for q in (0.0, 0.5, 0.9, 1.0):
-        assert hist.quantile(q) == 0.0
+    for quantile in _quantile_paths(hist):
+        for q in (0.0, 0.5, 0.9, 1.0):
+            assert quantile(q) == 0.0
     assert hist.min is None and hist.max is None
 
 
@@ -291,8 +268,9 @@ def test_histogram_single_sample():
     assert hist.mean == 42.0
     assert hist.stddev == 0.0
     assert hist.min == hist.max == 42
-    for q in (0.0, 0.25, 0.5, 0.99, 1.0):
-        assert hist.quantile(q) == 42.0
+    for quantile in _quantile_paths(hist):
+        for q in (0.0, 0.25, 0.5, 0.99, 1.0):
+            assert quantile(q) == 42.0
 
 
 def test_histogram_all_samples_in_one_bucket():
@@ -305,8 +283,9 @@ def test_histogram_all_samples_in_one_bucket():
     assert hist.counts[1] == 50
     assert sum(hist.counts) == 50
     assert hist.stddev == 0.0
-    for q in (0.0, 0.1, 0.5, 0.9, 1.0):
-        assert hist.quantile(q) == 55.0
+    for quantile in _quantile_paths(hist):
+        for q in (0.0, 0.1, 0.5, 0.9, 1.0):
+            assert quantile(q) == 55.0
 
 
 def test_merge_samples_folds_sum_sq():

@@ -34,6 +34,14 @@ def test_report_fraction_and_verdict():
         off_seconds=1.0, on_seconds=0.9, budget=0.05, repeats=3
     )
     assert noise.fraction == 0.0
+    # measured reports gate the median per-pair ratio: one drifted
+    # pair (2x) cannot move the median of five
+    paired = OverheadReport(
+        off_seconds=1.0, on_seconds=1.0, budget=0.05, repeats=5,
+        ratios=(1.01, 2.0, 1.02, 0.99, 1.03),
+    )
+    assert paired.fraction == pytest.approx(0.02)
+    assert paired.within_budget
 
 
 def test_budget_env_override(monkeypatch):
@@ -53,13 +61,15 @@ def test_measure_overhead_runs_workload_both_ways():
         calls["enabled_seen"].append(get_metrics().enabled)
         get_metrics().counter("w").inc()
 
-    report = measure_overhead(workload, repeats=2, warmup=1, budget=0.05)
-    # 1 warmup + 2 off + 2 on
-    assert calls["n"] == 5
-    assert calls["enabled_seen"][1:3] == [False, False]
-    assert calls["enabled_seen"][3:] == [True, True]
-    assert report.repeats == 2
+    report = measure_overhead(workload, repeats=3, warmup=1, budget=0.05)
+    # 1 warmup + 3 interleaved off/on pairs, the first arm alternating
+    assert calls["n"] == 7
+    assert calls["enabled_seen"][1:] == [False, True, True, False, False, True]
+    assert report.repeats == 3
     assert report.off_seconds > 0 and report.on_seconds > 0
+    # the gate reads the median per-pair on/off ratio
+    assert len(report.ratios) == 3
+    assert report.fraction == max(0.0, sorted(report.ratios)[1] - 1.0)
     assert report.to_dict()["within_budget"] == report.within_budget
 
 

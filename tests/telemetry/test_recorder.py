@@ -7,7 +7,6 @@ import pytest
 from repro.telemetry import (
     FlightRecorder,
     get_recorder,
-    set_recorder,
     telemetry_session,
 )
 
@@ -94,16 +93,6 @@ def test_default_recorder_starts_disabled():
     before = len(rec)
     rec.record("should_not_exist")
     assert len(rec) == before
-
-
-def test_set_recorder_swaps_and_returns_previous():
-    mine = FlightRecorder()
-    previous = set_recorder(mine)
-    try:
-        assert get_recorder() is mine
-    finally:
-        set_recorder(previous)
-    assert get_recorder() is previous
 
 
 def test_telemetry_session_installs_and_restores_recorder():
