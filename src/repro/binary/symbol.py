@@ -95,8 +95,8 @@ class SymbolTable:
     def at(self, vaddr: int) -> Optional[Symbol]:
         """The symbol whose range covers ``vaddr``, if any.
 
-        Bisects a cached address index — the profiler calls this for every
-        emulated instruction, so it must stay cheap.
+        Bisects a cached address index — the profiler calls this once
+        per distinct executed instruction, so it must stay cheap.
         """
         import bisect
 

@@ -319,17 +319,15 @@ def _cmd_protect(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .emu import HotspotProfiler, profile_run
+    from .emu import profile_run
 
     program = build_program(args.program)
-    hotspots = HotspotProfiler()
     result, profiler = profile_run(
-        program.image, debugger_attached=args.debugger, hotspots=hotspots,
-        engine=args.engine,
+        program.image, debugger_attached=args.debugger, engine=args.engine
     )
     print(profiler.report())
     print()
-    print(hotspots.report())
+    print(profiler.hotspot_report())
     print(f"\ntotal: {result.steps:,} instructions, {result.cycles:,} cycles")
     if result.crashed:
         print(f"FAULT  : {result.fault}")

@@ -22,8 +22,14 @@ from ..ropc import ir
 from ..ropc.compiler import RopCompileError, RopCompiler
 
 
+#: Instruction budget of the selection profile — ``Program.run``'s
+#: default, so the profile ranks a whole corpus run (wget needs 6.79M).
+PROFILE_MAX_STEPS = 10_000_000
+
+
 class SelectionError(Exception):
-    """No function qualifies as verification code."""
+    """No function qualifies as verification code, or the profile run
+    the ranking needs did not complete."""
 
 
 class CandidateInfo:
@@ -58,9 +64,19 @@ def is_chain_translatable(function) -> bool:
 
 
 def rank_candidates(program, time_threshold: float = 0.02) -> List[CandidateInfo]:
-    """Score every function of ``program`` against the selection steps."""
+    """Score every function of ``program`` against the selection steps.
+
+    Raises :class:`SelectionError` when the profile run faults —
+    including running out of its :data:`PROFILE_MAX_STEPS` budget — so
+    a partial profile is never ranked.
+    """
     graph = callgraph_from_ir(program.functions.values())
-    _result, profiler = profile_run(program.image)
+    result, profiler = profile_run(program.image, max_steps=PROFILE_MAX_STEPS)
+    if result.crashed:
+        raise SelectionError(
+            f"{program.name}: selection profile faulted after "
+            f"{result.steps:,} steps: {result.fault!r}"
+        )
 
     infos = []
     for name, function in program.functions.items():

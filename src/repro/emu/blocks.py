@@ -18,7 +18,8 @@ exits) and terminate at any other control transfer.  Step and cycle
 accounting is batched: the totals are added once per block, and every
 early exit (taken jcc, fault, syscall, self-modifying write) charges
 the exact prefix the step engine would have charged, so ``RunResult``s
-are byte-identical between engines.
+are byte-identical between engines.  An installed
+``Emulator.profiler`` is told that prefix for every block execution.
 
 Coherence model (what keys a block):
 
@@ -156,17 +157,17 @@ class CompiledBlock:
 
     __slots__ = (
         "start", "end", "n", "fn", "p0", "v0", "p1", "v1", "cacheable", "epoch",
-        "mnems",
+        "insns",
     )
 
-    def __init__(self, start, end, n, fn, pages, cacheable, epoch, mnems=()):
+    def __init__(self, start, end, insns, fn, pages, cacheable, epoch):
         self.start = start
         self.end = end
-        self.n = n
+        self.n = len(insns)
         self.fn = fn
-        #: mnemonic tuple, kept for hot-spot attribution (executions of
-        #: this block expand to one sample per mnemonic at report time).
-        self.mnems = mnems
+        #: the decoded instruction tuple the body was generated from (the
+        #: profiler derives symbols, costs and call targets from it).
+        self.insns = insns
         (self.p0, self.v0) = pages[0]
         (self.p1, self.v1) = pages[1] if len(pages) > 1 else (-1, 0)
         self.cacheable = cacheable
@@ -214,7 +215,7 @@ class BlockEngine:
         cache = self._cache
         old = self._old
         rec = get_recorder()
-        hot = emu.hotspots
+        record = emu.profiler.record_block if emu.profiler is not None else None
         hits = 0
         epoch_hits = 0
         page_revals = 0
@@ -275,17 +276,12 @@ class BlockEngine:
                     # accounting, identical to the step engine.
                     emu.step()
                     continue
-                if hot is not None:
-                    hot.record_block(b)
-                if b.fn(emu, cpu, mem):
-                    self.write_aborts += 1
-                    if rec.enabled:
-                        rec.record(
-                            "block_invalidate",
-                            tier="store",
-                            start=b.start,
-                            end=b.end,
-                        )
+                if record is None:
+                    aborted = b.fn(emu, cpu, mem)
+                else:
+                    aborted = self._observed(b, record)
+                if aborted:
+                    self._write_abort(b, rec)
         finally:
             self.hits += hits
             self.epoch_hits += epoch_hits
@@ -302,7 +298,7 @@ class BlockEngine:
         cpu = emu.cpu
         mem = emu.memory
         rec = get_recorder()
-        hot = emu.hotspots
+        record = emu.profiler.record_block if emu.profiler is not None else None
         target = emu.steps + n
         while emu.steps < target:
             b = self._lookup(cpu.eip)
@@ -319,14 +315,28 @@ class BlockEngine:
                 emu.step()
                 continue
             self.hits += 1
-            if hot is not None:
-                hot.record_block(b)
-            if b.fn(emu, cpu, mem):
-                self.write_aborts += 1
-                if rec.enabled:
-                    rec.record(
-                        "block_invalidate", tier="store", start=b.start, end=b.end
-                    )
+            if record is None:
+                aborted = b.fn(emu, cpu, mem)
+            else:
+                aborted = self._observed(b, record)
+            if aborted:
+                self._write_abort(b, rec)
+
+    def _observed(self, b, record):
+        """Execute ``b`` and report the exact prefix it charged — also
+        when it leaves by an exception (fault, syscall exit)."""
+        emu = self.emulator
+        before = emu.steps
+        try:
+            return b.fn(emu, emu.cpu, emu.memory)
+        finally:
+            record(b, emu.steps - before)
+
+    def _write_abort(self, b, rec) -> None:
+        """``b`` stopped after a store into its own bytes."""
+        self.write_aborts += 1
+        if rec.enabled:
+            rec.record("block_invalidate", tier="store", start=b.start, end=b.end)
 
     def _lookup(self, eip: int):
         """Valid cached block for ``eip``, compiling (and caching) on miss."""
@@ -405,6 +415,7 @@ class BlockEngine:
     def _compile(self, start: int) -> CompiledBlock:
         emu = self.emulator
         insns, end = self._decode_block(start)
+        insns = tuple(insns)
 
         mem = emu.memory
         first_page = start >> 12
@@ -425,8 +436,7 @@ class BlockEngine:
                 cacheable=cacheable,
             )
         return CompiledBlock(
-            start, end, len(insns), fn, pages, cacheable, mem.write_epoch,
-            mnems=tuple(insn.mnemonic for insn in insns),
+            start, end, insns, fn, pages, cacheable, mem.write_epoch
         )
 
     def _generate(self, start: int, end: int, insns):
@@ -483,7 +493,7 @@ class BlockEngine:
         source = "\n".join(lines)
         namespace = dict(_SHARED_NS)
         namespace.update(
-            _I=tuple(insns),
+            _I=insns,
             _H=tuple(handlers),
             _NEXTS=tuple(nexts),
             _NS=frozenset(nexts),

@@ -5,7 +5,8 @@ of instruction semantics (:mod:`repro.emu.dispatch`):
 
 * the **step engine** interprets one instruction at a time through the
   decode cache — the reference implementation, and the one used when a
-  per-step ``trace_hook`` is attached;
+  per-step ``trace_hook`` (:class:`repro.telemetry.ChainExecutionTracer`) is
+  attached;
 * the **block engine** (:mod:`repro.emu.blocks`, the default) compiles
   straight-line instruction runs into cached superblocks and executes
   them without per-instruction dispatch.
@@ -200,9 +201,9 @@ class Emulator:
         self.cycles = 0
         self.ret_mispredicts = 0
         self._ras = []  # shadow return-address stack (branch predictor)
-        #: optional per-step callback(eip, instruction) for profilers;
-        #: attaching one makes ``run`` fall back to the step engine so
-        #: every instruction is observed.
+        #: optional per-step callback(eip, instruction) for the chain
+        #: tracer; attaching one makes ``run`` fall back to the step
+        #: engine so every instruction is observed.
         self.trace_hook: Optional[Callable[[int, Instruction], None]] = None
         # Two-generation decode cache: hits promote entries from the old
         # generation into the young one; when the young generation fills
@@ -211,12 +212,12 @@ class Emulator:
         self._decode_cache = {}
         self._decode_cache_old = {}
         self._block_engine = None
-        #: optional HotspotProfiler; installed lazily by run() (see
-        #: REPRO_HOTSPOTS) or explicitly by callers.  ``None`` keeps the
-        #: per-step hot path free of profiling branches' costs beyond
-        #: one identity check.
-        self.hotspots = None
-        self._hotspots_auto = False
+        #: optional :class:`repro.emu.profiler.Profiler` fed by both
+        #: engines; installed lazily by run() (see REPRO_HOTSPOTS) or
+        #: explicitly by callers.  ``None`` keeps the hot paths to one
+        #: identity check per step or block.
+        self.profiler = None
+        self._profiler_auto = False
         #: optional TamperWatch stamping the first execution of tampered
         #: bytes; ``None`` keeps the hot path to one identity check.
         self.tamper_watch: Optional[TamperWatch] = None
@@ -246,7 +247,8 @@ class Emulator:
         """The compiled-execution engine for this run, or ``None``.
 
         ``None`` means single-step: either the step engine was selected
-        or a ``trace_hook`` demands that every instruction be observed.
+        or a ``trace_hook`` demands that every instruction be observed
+        (a profiler does not: the block engine reports to it directly).
         """
         if self.trace_hook is not None:
             return None
@@ -386,8 +388,8 @@ class Emulator:
         insn = self._fetch_decode(eip)
         self.steps += 1
         self.cycles += cost_of(insn)
-        if self.hotspots is not None:
-            self.hotspots.record_step(insn.mnemonic)
+        if self.profiler is not None:
+            self.profiler.record_step(eip, insn)
         watch = self.tamper_watch
         if (
             watch is not None
@@ -415,7 +417,7 @@ class Emulator:
         """
         from ..telemetry import get_metrics, get_tracer
 
-        self._maybe_enable_hotspots(get_metrics())
+        self._maybe_enable_profiler(get_metrics())
         start_steps = self.steps
         with get_tracer().span("emulate") as span:
             fault = None
@@ -456,7 +458,7 @@ class Emulator:
             fault=fault,
         )
 
-    def _maybe_enable_hotspots(self, metrics) -> None:
+    def _maybe_enable_profiler(self, metrics) -> None:
         """Install a hot-spot profiler per the ``REPRO_HOTSPOTS`` env.
 
         ``auto`` (default) samples whenever the metrics registry is
@@ -464,14 +466,14 @@ class Emulator:
         throughput benchmarks set ``0`` so profiling never skews their
         numbers).  Never replaces a profiler a caller installed.
         """
-        if self.hotspots is not None:
+        if self.profiler is not None:
             return
         mode = _os.environ.get("REPRO_HOTSPOTS", "auto")
         if mode == "1" or (mode != "0" and metrics.enabled):
-            from .hotspots import HotspotProfiler
+            from .profiler import Profiler
 
-            self.hotspots = HotspotProfiler()
-            self._hotspots_auto = True
+            self.profiler = Profiler(self.image)
+            self._profiler_auto = True
 
     def _record_engine_metrics(self, metrics) -> None:
         be = self._block_engine
@@ -484,7 +486,7 @@ class Emulator:
             )
             metrics.counter("emu.blocks.invalidated").inc(be.invalidated)
             metrics.counter("emu.blocks.write_aborts").inc(be.write_aborts)
-        hot = self.hotspots
+        hot = self.profiler
         if hot is not None:
             # One labeled family per hot-spot dimension: the mnemonic /
             # address is a label, not a name suffix, so Prometheus sees
@@ -497,7 +499,7 @@ class Emulator:
                 metrics.counter(
                     "emu.hot.block", labels={"addr": f"{start:#010x}"}
                 ).inc(execs)
-            if self._hotspots_auto:
+            if self._profiler_auto:
                 # Counts were flushed into the registry; clear so
                 # repeated run() calls don't double-count.  A profiler
                 # installed by the caller is left intact for them.

@@ -1,19 +1,40 @@
-"""Per-function cycle attribution and dynamic call-graph recording.
+"""One run observer for both engines: function profiles and hot spots.
 
 The verification-function selection algorithm of the paper's §VII-B needs
 (1) how often each function is called, (2) the share of total execution
-time it accounts for.  The profiler gathers both by hooking the
-emulator's per-step trace callback.
+time it accounts for.  The same run also answers *which instructions and
+superblocks* the engines spend their time in — the attribution §V needs
+when a verification chain shows up as slowdown.
+
+:class:`Profiler` is installed as ``Emulator.profiler`` and fed by both
+engines:
+
+* :meth:`Emulator.step` reports every single-stepped instruction as
+  ``(eip, insn)``;
+* the block engine reports every superblock execution as ``(block,
+  executed)``, where ``executed`` is the exact prefix the block charged
+  (side exits, faults, syscalls and self-modifying-store aborts stop
+  short of the whole block).
+
+Recording is one counter bump per report.  Everything else — symbols,
+static cycle costs, direct-call targets, mnemonics — is derived once per
+distinct code unit from its instructions, and the function profiles,
+call edges and hot-spot tables are folded from the counts when first
+queried.  Because every report carries the executed prefix, the folded
+counts are exact under either engine.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Dict, Optional
+from collections import Counter
+from typing import Dict, List, Optional, Tuple
 
 from ..binary.image import BinaryImage
-from .emulator import CYCLE_COSTS, Emulator
-from ..x86.operands import Mem
+from ..x86.decoder import decode
+from .dispatch import cost_of
+from .emulator import DEFAULT_ENGINE, Emulator
+
+UNKNOWN = "<unknown>"
 
 
 class FunctionProfile:
@@ -27,67 +48,169 @@ class FunctionProfile:
         self.cycles = 0
         self.steps = 0
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FunctionProfile) and (
+            (self.name, self.calls, self.cycles, self.steps)
+            == (other.name, other.calls, other.cycles, other.steps)
+        )
+
     def __repr__(self) -> str:
         return (
             f"<FunctionProfile {self.name} calls={self.calls} "
-            f"cycles={self.cycles}>"
+            f"cycles={self.cycles} steps={self.steps}>"
         )
 
 
-class Profiler:
-    """Attributes executed cycles to the function covering each eip."""
+class _Fold:
+    """Everything the queries read, folded from one set of counts."""
 
-    def __init__(self, image: BinaryImage):
-        self.image = image
+    __slots__ = (
+        "profiles", "call_edges", "total_cycles", "mnemonics", "blocks",
+        "block_lengths",
+    )
+
+    def __init__(self):
         self.profiles: Dict[str, FunctionProfile] = {}
         self.call_edges: Counter = Counter()
         self.total_cycles = 0
-        self._current: Optional[str] = None
+        self.mnemonics: Dict[str, int] = {}
+        #: block start address -> executions (whole or partial)
+        self.blocks: Dict[int, int] = {}
+        self.block_lengths: Dict[int, int] = {}
 
-    def attach(self, emulator: Emulator) -> None:
-        emulator.trace_hook = self._on_step
-
-    def _profile_for(self, name: str) -> FunctionProfile:
+    def profile(self, name: str) -> FunctionProfile:
         prof = self.profiles.get(name)
         if prof is None:
-            prof = FunctionProfile(name)
-            self.profiles[name] = prof
+            prof = self.profiles[name] = FunctionProfile(name)
         return prof
 
-    def _on_step(self, eip: int, insn) -> None:
-        symbol = self.image.symbols.at(eip)
-        name = symbol.name if symbol is not None else "<unknown>"
-        cost = CYCLE_COSTS.get(insn.mnemonic, 1)
-        for op in insn.operands:
-            if isinstance(op, Mem):
-                cost += 1
-        prof = self._profile_for(name)
-        prof.cycles += cost
-        prof.steps += 1
-        self.total_cycles += cost
 
-        if insn.mnemonic == "call":
-            target = insn.branch_target()
-            if target is not None:
-                # Calls into symbol-less code (stubs, inserted sections)
-                # still count — attributed to <unknown> rather than
-                # silently dropped, so call totals match reality.
-                callee = self.image.symbols.at(target)
-                callee_name = callee.name if callee is not None else "<unknown>"
-                self._profile_for(callee_name).calls += 1
-                self.call_edges[(name, callee_name)] += 1
-        self._current = name
+class Profiler:
+    """Counts executed code units; folds profiles and hot spots on demand.
+
+    ``image`` supplies the symbols functions are named by; without one
+    every instruction is attributed to ``<unknown>``.
+    """
+
+    def __init__(self, image: Optional[BinaryImage] = None):
+        self.image = image
+        #: (eip, instruction bytes) -> single-step executions
+        self._steps: Dict[Tuple[int, bytes], int] = {}
+        #: (block, executed prefix) -> executions
+        self._blocks: Dict[tuple, int] = {}
+        #: code unit (block object or step key) -> per-instruction rows
+        self._tables: Dict[object, tuple] = {}
+        self._fold: Optional[_Fold] = None
+
+    # -- recording (hot paths) ------------------------------------------
+
+    def record_step(self, eip: int, insn) -> None:
+        """One single-stepped instruction (either engine)."""
+        key = (eip, insn.raw)
+        counts = self._steps
+        counts[key] = counts.get(key, 0) + 1
+        self._fold = None
+
+    def record_block(self, block, executed: int) -> None:
+        """One superblock execution that charged its first ``executed``
+        instructions."""
+        key = (block, executed)
+        counts = self._blocks
+        counts[key] = counts.get(key, 0) + 1
+        self._fold = None
+
+    def clear(self) -> None:
+        self._steps.clear()
+        self._blocks.clear()
+        self._tables.clear()
+        self._fold = None
+
+    # -- folding ---------------------------------------------------------
+
+    def _rows(self, unit) -> tuple:
+        """Per-instruction ``(function, cycles, mnemonic, callee)`` rows
+        for one code unit — a block object or an ``(eip, bytes)`` step
+        key — built once; ``callee`` is the direct-call target's
+        function, or ``None`` for any other instruction."""
+        rows = self._tables.get(unit)
+        if rows is None:
+            if isinstance(unit, tuple):
+                insns = (decode(unit[1], 0, address=unit[0]),)
+            else:
+                insns = unit.insns
+            rows = self._tables[unit] = tuple(
+                (
+                    self._name_at(insn.address),
+                    cost_of(insn),
+                    insn.mnemonic,
+                    self._callee(insn),
+                )
+                for insn in insns
+            )
+        return rows
+
+    def _name_at(self, addr: int) -> str:
+        symbol = self.image.symbols.at(addr) if self.image is not None else None
+        return symbol.name if symbol is not None else UNKNOWN
+
+    def _callee(self, insn) -> Optional[str]:
+        if insn.mnemonic != "call":
+            return None
+        target = insn.branch_target()
+        if target is None:
+            return None
+        # Calls into symbol-less code (stubs, inserted sections) still
+        # count — attributed to <unknown> rather than silently dropped,
+        # so call totals match reality.
+        return self._name_at(target)
+
+    def _folded(self) -> _Fold:
+        fold = self._fold
+        if fold is not None:
+            return fold
+        fold = _Fold()
+        units = [(self._rows(key), 1, count) for key, count in self._steps.items()]
+        for (block, executed), count in self._blocks.items():
+            units.append((self._rows(block), executed, count))
+            fold.blocks[block.start] = fold.blocks.get(block.start, 0) + count
+            fold.block_lengths[block.start] = block.n
+        mnemonics = fold.mnemonics
+        for rows, executed, count in units:
+            for name, cycles, mnemonic, callee in rows[:executed]:
+                prof = fold.profile(name)
+                prof.cycles += cycles * count
+                prof.steps += count
+                fold.total_cycles += cycles * count
+                mnemonics[mnemonic] = mnemonics.get(mnemonic, 0) + count
+                if callee is not None:
+                    fold.profile(callee).calls += count
+                    fold.call_edges[(name, callee)] += count
+        self._fold = fold
+        return fold
 
     # ------------------------------------------------------------------
-    # Queries used by the selection algorithm
+    # Function profile (the selection algorithm's queries)
     # ------------------------------------------------------------------
+
+    @property
+    def profiles(self) -> Dict[str, FunctionProfile]:
+        return self._folded().profiles
+
+    @property
+    def call_edges(self) -> Counter:
+        return self._folded().call_edges
+
+    @property
+    def total_cycles(self) -> int:
+        return self._folded().total_cycles
 
     def time_fraction(self, name: str) -> float:
         """Fraction of total cycles spent inside ``name``."""
-        if self.total_cycles == 0:
+        fold = self._folded()
+        if fold.total_cycles == 0:
             return 0.0
-        prof = self.profiles.get(name)
-        return prof.cycles / self.total_cycles if prof else 0.0
+        prof = fold.profiles.get(name)
+        return prof.cycles / fold.total_cycles if prof else 0.0
 
     def call_count(self, name: str) -> int:
         prof = self.profiles.get(name)
@@ -100,12 +223,57 @@ class Profiler:
     def report(self) -> str:
         lines = [f"{'function':<28} {'calls':>8} {'cycles':>12} {'share':>8}"]
         for prof in sorted(
-            self.profiles.values(), key=lambda p: -p.cycles
+            self.profiles.values(), key=lambda p: (-p.cycles, p.name)
         ):
             share = self.time_fraction(prof.name)
             lines.append(
                 f"{prof.name:<28} {prof.calls:>8} {prof.cycles:>12} {share:>7.1%}"
             )
+        return "\n".join(lines)
+
+    # ------------------------------------------------------------------
+    # Hot spots (``repro profile`` and the emu.hot.* metric families)
+    # ------------------------------------------------------------------
+
+    def mnemonic_counts(self) -> Dict[str, int]:
+        """Executed instructions per mnemonic, across both engines."""
+        return dict(self._folded().mnemonics)
+
+    @property
+    def block_samples(self) -> Dict[int, int]:
+        """Block start address -> superblock executions (block engine)."""
+        return dict(self._folded().blocks)
+
+    @property
+    def total_samples(self) -> int:
+        """Executed instructions observed; equals the run's step total."""
+        return sum(self._folded().mnemonics.values())
+
+    def top_mnemonics(self, n: int = 10) -> List[Tuple[str, int]]:
+        totals = self._folded().mnemonics
+        return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+
+    def top_blocks(self, n: int = 10) -> List[Tuple[int, int]]:
+        return sorted(
+            self._folded().blocks.items(), key=lambda kv: (-kv[1], kv[0])
+        )[:n]
+
+    def hotspot_report(self, top: int = 10) -> str:
+        """Human-readable hot-spot table (used by ``repro profile``)."""
+        total = self.total_samples
+        if not total:
+            return "no hot-spot samples recorded"
+        lines = [f"engine hot spots ({total:,} instruction samples)"]
+        lines.append(f"  {'mnemonic':<10} {'samples':>14} {'share':>8}")
+        for mnemonic, count in self.top_mnemonics(top):
+            lines.append(
+                f"  {mnemonic:<10} {count:>14,} {count / total:>8.2%}"
+            )
+        lengths = self._folded().block_lengths
+        if lengths:
+            lines.append(f"  {'block':<10} {'execs':>14} {'len':>8}")
+            for start, execs in self.top_blocks(top):
+                lines.append(f"  {start:#010x} {execs:>14,} {lengths[start]:>8}")
         return "\n".join(lines)
 
 
@@ -114,31 +282,14 @@ def profile_run(
     stdin: bytes = b"",
     max_steps: int = 5_000_000,
     debugger_attached: bool = False,
-    hotspots=None,
-    engine: str = "step",
+    engine: str = DEFAULT_ENGINE,
 ):
-    """Run ``image`` under the profiler; returns (RunResult, Profiler).
-
-    Pass a :class:`repro.emu.hotspots.HotspotProfiler` as ``hotspots``
-    to also collect hot-spot samples.  The function profiler itself
-    always forces the step engine (its per-instruction trace hook is
-    how cycles get attributed), so with ``engine="step"`` the hot-spot
-    samples come from that same run.  Any other ``engine`` triggers a
-    second, hook-free run under that engine so the profiler can record
-    engine-level samples too — superblock executions for ``block``.
-    """
+    """Run ``image`` once under ``engine`` with a :class:`Profiler`
+    installed; returns ``(RunResult, Profiler)``."""
     from .syscalls import OperatingSystem
 
     os = OperatingSystem(stdin=stdin, debugger_attached=debugger_attached)
-    emulator = Emulator(image, os=os, max_steps=max_steps)
-    if hotspots is not None and engine == "step":
-        emulator.hotspots = hotspots
+    emulator = Emulator(image, os=os, max_steps=max_steps, engine=engine)
     profiler = Profiler(image)
-    profiler.attach(emulator)
-    result = emulator.run()
-    if hotspots is not None and engine != "step":
-        os2 = OperatingSystem(stdin=stdin, debugger_attached=debugger_attached)
-        sampler = Emulator(image, os=os2, max_steps=max_steps, engine=engine)
-        sampler.hotspots = hotspots
-        sampler.run()
-    return result, profiler
+    emulator.profiler = profiler
+    return emulator.run(), profiler

@@ -108,8 +108,10 @@ def config_for_program(name: str, base: Optional[ProtectConfig]) -> ProtectConfi
 
     When the base config names no verification functions, the
     program's ``digest_*`` helper is used — the function the §VII-B
-    selection algorithm converges on for every corpus program, without
-    paying for a profiling run per program.
+    selection algorithm converges on for every corpus program (checked
+    by ``tests/core/test_selection.py::
+    test_selection_converges_on_digest_for_every_corpus_program``),
+    without paying for a profiling run per program.
     """
     base = base or ProtectConfig()
     verification = base.verification_functions

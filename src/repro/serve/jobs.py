@@ -81,7 +81,9 @@ def make_task(
 def job_config(task: Dict[str, Any]) -> ProtectConfig:
     """The :class:`ProtectConfig` a task resolves to (pipeline parity:
     the §VII-B selection converges on ``digest_<name>`` for every
-    corpus program, same as ``pipeline.config_for_program``)."""
+    corpus program, same as ``pipeline.config_for_program``; checked by
+    ``tests/core/test_selection.py::
+    test_selection_converges_on_digest_for_every_corpus_program``)."""
     return ProtectConfig(
         strategy=task["strategy"],
         verification_functions=[f"digest_{task['program']}"],

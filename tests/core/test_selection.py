@@ -5,7 +5,9 @@ import pytest
 from repro.core import (
     SelectionError, rank_candidates, select_verification_function,
 )
+from repro.core import selection
 from repro.core.selection import is_chain_translatable
+from repro.corpus import PROGRAM_NAMES, build_program
 
 
 def test_selects_the_digest(small_wget):
@@ -34,3 +36,16 @@ def test_hot_functions_excluded(small_wget):
 
 def test_non_leaf_not_translatable(small_wget):
     assert not is_chain_translatable(small_wget.functions["main"])
+
+
+def test_truncated_profile_is_refused(small_wget, monkeypatch):
+    monkeypatch.setattr(selection, "PROFILE_MAX_STEPS", 1000)
+    with pytest.raises(SelectionError, match=r"after 1,000 steps.*StepLimitExceeded"):
+        rank_candidates(small_wget)
+
+
+@pytest.mark.parametrize("name", PROGRAM_NAMES)
+def test_selection_converges_on_digest_for_every_corpus_program(name):
+    # pipeline.config_for_program and serve.jobs.job_config pin
+    # digest_<name> on the strength of this convergence.
+    assert select_verification_function(build_program(name)) == f"digest_{name}"

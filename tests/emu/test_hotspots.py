@@ -1,7 +1,7 @@
-"""Engine hot-spot profiler: sampling, aggregation, metrics export."""
+"""Engine hot spots from the run observer: aggregation, metrics export."""
 
 from repro.binary import BinaryImage, Perm, Section
-from repro.emu import Emulator, HotspotProfiler
+from repro.emu import Emulator, Profiler
 from repro.telemetry import MetricsRegistry, telemetry_session
 from repro.x86 import Assembler, EAX, ECX, Imm
 
@@ -23,10 +23,10 @@ def make_loop_image(n=50):
     return img
 
 
-class FakeBlock:
-    def __init__(self, start, mnems):
-        self.start = start
-        self.mnems = tuple(mnems)
+def entry_block():
+    """The superblock at BASE: mov, mov, add, dec, jne (side exit), ret."""
+    emu = Emulator(make_loop_image(), engine="block")
+    return emu, emu.blocks._lookup(BASE)
 
 
 # ----------------------------------------------------------------------
@@ -35,42 +35,48 @@ class FakeBlock:
 
 
 def test_step_and_block_samples_merge():
-    hot = HotspotProfiler()
+    emu, block = entry_block()
+    assert [i.mnemonic for i in block.insns] == ["mov", "mov", "add", "dec", "jne", "ret"]
+    add = block.insns[2]
+    hot = Profiler()
     for _ in range(3):
-        hot.record_step("mov")
-    hot.record_step("ret")
-    block = FakeBlock(0x1000, ("mov", "add", "mov"))
-    hot.record_block(block)
-    hot.record_block(block)
+        hot.record_step(add.address, add)
+    hot.record_block(block, 5)  # side exit at the jne
+    hot.record_block(block, 5)
+    hot.record_block(block, 6)  # ran through to the ret
     counts = hot.mnemonic_counts()
-    # block executions expand to executions x occurrences
-    assert counts["mov"] == 3 + 2 * 2
-    assert counts["add"] == 2
+    # each execution counts exactly the prefix it charged
+    assert counts["mov"] == 2 * 3
+    assert counts["add"] == 3 + 3
+    assert counts["jne"] == 3
     assert counts["ret"] == 1
-    assert hot.block_samples == {0x1000: 2}
-    assert hot.total_samples == sum(counts.values())
-    assert hot.top_mnemonics(1) == [("mov", 7)]
-    assert hot.top_blocks(1) == [(0x1000, 2)]
+    assert hot.block_samples == {BASE: 3}
+    assert hot.total_samples == sum(counts.values()) == 3 + 5 + 5 + 6
+    assert hot.top_mnemonics(1) == [("add", 6)]  # ties: count desc, then name
+    assert hot.top_blocks(1) == [(BASE, 3)]
 
 
 def test_ties_rank_deterministically_and_clear_resets():
-    hot = HotspotProfiler()
-    hot.record_step("b")
-    hot.record_step("a")
-    assert hot.top_mnemonics(2) == [("a", 1), ("b", 1)]  # count desc, then name
+    _, block = entry_block()
+    dec, add = block.insns[3], block.insns[2]
+    hot = Profiler()
+    hot.record_step(dec.address, dec)
+    hot.record_step(add.address, add)
+    assert hot.top_mnemonics(2) == [("add", 1), ("dec", 1)]  # count desc, then name
     hot.clear()
     assert hot.total_samples == 0
-    assert hot.report() == "no hot-spot samples recorded"
+    assert hot.hotspot_report() == "no hot-spot samples recorded"
 
 
 def test_report_renders_mnemonic_and_block_tables():
-    hot = HotspotProfiler()
-    hot.record_step("mov")
-    hot.record_block(FakeBlock(0x2000, ("ret",)))
-    out = hot.report()
-    assert "engine hot spots" in out
+    _, block = entry_block()
+    hot = Profiler()
+    hot.record_step(block.insns[0].address, block.insns[0])
+    hot.record_block(block, 6)
+    out = hot.hotspot_report()
+    assert "engine hot spots (7 instruction samples)" in out
     assert "mov" in out and "ret" in out
-    assert "0x00002000" in out  # block table keyed by start address
+    assert "0x00001000" in out  # block table keyed by start address
 
 
 # ----------------------------------------------------------------------
@@ -80,29 +86,34 @@ def test_report_renders_mnemonic_and_block_tables():
 
 def test_step_engine_samples_every_instruction():
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="step")
-    emu.hotspots = HotspotProfiler()
+    emu.profiler = Profiler()
     emu.call_function(BASE)
-    counts = emu.hotspots.mnemonic_counts()
+    counts = emu.profiler.mnemonic_counts()
     assert sum(counts.values()) == emu.steps
-    assert counts.get("add", 0) >= 50
-    assert not emu.hotspots.block_samples  # no blocks in the step engine
+    assert counts.get("add", 0) == 50
+    assert not emu.profiler.block_samples  # no blocks in the step engine
 
 
 def test_block_engine_samples_block_executions():
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="block")
-    emu.hotspots = HotspotProfiler()
+    emu.profiler = Profiler()
     emu.call_function(BASE)
-    hot = emu.hotspots
+    hot = emu.profiler
     assert hot.block_samples, "block engine must record block executions"
     assert max(hot.block_samples.values()) >= 40  # the loop body re-enters
-    counts = hot.mnemonic_counts()
-    assert counts.get("add", 0) >= 50
+
+    reference = Emulator(make_loop_image(), max_steps=100_000, engine="step")
+    reference.profiler = Profiler()
+    reference.call_function(BASE)
+    # exact, not executions x occurrences: identical to the step engine
+    assert hot.mnemonic_counts() == reference.profiler.mnemonic_counts()
+    assert hot.total_samples == emu.steps
 
 
 def test_no_sampling_without_a_profiler():
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="block")
     emu.call_function(BASE)
-    assert emu.hotspots is None  # call_function never auto-installs
+    assert emu.profiler is None  # call_function never auto-installs
 
 
 # ----------------------------------------------------------------------
@@ -114,55 +125,56 @@ def test_auto_install_follows_metrics_and_env(monkeypatch):
     img = make_loop_image()
     monkeypatch.delenv("REPRO_HOTSPOTS", raising=False)
     emu = Emulator(img, max_steps=100_000, engine="step")
-    emu._maybe_enable_hotspots(MetricsRegistry(enabled=False))
-    assert emu.hotspots is None  # auto + metrics off -> no profiler
-    emu._maybe_enable_hotspots(MetricsRegistry(enabled=True))
-    assert emu.hotspots is not None and emu._hotspots_auto
+    emu._maybe_enable_profiler(MetricsRegistry(enabled=False))
+    assert emu.profiler is None  # auto + metrics off -> no profiler
+    emu._maybe_enable_profiler(MetricsRegistry(enabled=True))
+    assert emu.profiler is not None and emu._profiler_auto
 
     monkeypatch.setenv("REPRO_HOTSPOTS", "0")
     forced_off = Emulator(img, max_steps=100_000, engine="step")
-    forced_off._maybe_enable_hotspots(MetricsRegistry(enabled=True))
-    assert forced_off.hotspots is None  # "0" beats enabled metrics
+    forced_off._maybe_enable_profiler(MetricsRegistry(enabled=True))
+    assert forced_off.profiler is None  # "0" beats enabled metrics
 
     monkeypatch.setenv("REPRO_HOTSPOTS", "1")
     forced_on = Emulator(img, max_steps=100_000, engine="step")
-    forced_on._maybe_enable_hotspots(MetricsRegistry(enabled=False))
-    assert forced_on.hotspots is not None  # "1" beats disabled metrics
+    forced_on._maybe_enable_profiler(MetricsRegistry(enabled=False))
+    assert forced_on.profiler is not None  # "1" beats disabled metrics
 
 
 def test_auto_install_never_replaces_a_caller_profiler(monkeypatch):
     monkeypatch.setenv("REPRO_HOTSPOTS", "1")
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="step")
-    mine = HotspotProfiler()
-    emu.hotspots = mine
-    emu._maybe_enable_hotspots(MetricsRegistry(enabled=True))
-    assert emu.hotspots is mine and not emu._hotspots_auto
+    mine = Profiler()
+    emu.profiler = mine
+    emu._maybe_enable_profiler(MetricsRegistry(enabled=True))
+    assert emu.profiler is mine and not emu._profiler_auto
 
 
 def test_metrics_export_flushes_auto_profiler():
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="step")
-    emu.hotspots = HotspotProfiler()
-    emu._hotspots_auto = True
+    emu.profiler = Profiler()
+    emu._profiler_auto = True
     emu.call_function(BASE)
     registry = MetricsRegistry(enabled=True)
     emu._record_engine_metrics(registry)
     samples = registry.to_dict()
-    assert samples['emu.hot.mnemonic{mnemonic="add"}']["value"] >= 50
+    assert samples['emu.hot.mnemonic{mnemonic="add"}']["value"] == 50
     # auto-installed profilers are cleared after the flush so repeated
     # runs do not double-count
-    assert emu.hotspots.total_samples == 0
+    assert emu.profiler.total_samples == 0
 
 
 def test_metrics_export_retains_explicit_profiler():
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="block")
-    mine = HotspotProfiler()
-    emu.hotspots = mine  # caller-installed: _hotspots_auto stays False
+    mine = Profiler()
+    emu.profiler = mine  # caller-installed: _profiler_auto stays False
     emu.call_function(BASE)
     registry = MetricsRegistry(enabled=True)
     emu._record_engine_metrics(registry)
     samples = registry.to_dict()
     assert any(name.startswith("emu.hot.block{") for name in samples)
-    assert mine.total_samples > 0  # left intact for the caller
+    assert samples['emu.hot.mnemonic{mnemonic="add"}']["value"] == 50
+    assert mine.total_samples == emu.steps  # left intact for the caller
 
 
 def test_run_under_metrics_session_exports_hot_counters(monkeypatch):
@@ -174,4 +186,4 @@ def test_run_under_metrics_session_exports_hot_counters(monkeypatch):
         samples = metrics.to_dict()
     hot_names = [n for n in samples if n.startswith("emu.hot.mnemonic{")]
     assert hot_names, "run() must auto-install and flush the profiler"
-    assert emu.hotspots is not None and emu.hotspots.total_samples == 0
+    assert emu.profiler is not None and emu.profiler.total_samples == 0

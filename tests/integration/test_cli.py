@@ -88,6 +88,18 @@ def test_profile_prints_cycle_table(capsys, cli_small_wget):
     assert "mnemonic" in out
 
 
+def test_profile_engines_print_the_same_tables(capsys):
+    tables = {}
+    for engine in ("step", "block"):
+        assert main(["profile", "gzip", "--engine", engine]) == 0
+        functions, hotspots, totals = capsys.readouterr().out.split("\n\n")
+        # the block engine adds a per-superblock table after the mnemonics
+        mnemonics = hotspots.split("\n  block")[0]
+        tables[engine] = (functions, mnemonics, totals)
+    assert tables["step"] == tables["block"]
+    assert "digest_gzip" in tables["step"][0]
+
+
 def test_protect_trace_to_stdout(capsys, cli_small_wget):
     assert main(["protect", "wget", "--trace", "-"]) == 0
     out = capsys.readouterr().out

@@ -7,7 +7,9 @@ count, stdout bytes and fault — under both engines in
 :data:`repro.emu.ENGINES` (step and block).  The adversarial cases
 ride along: the Wurster code-view overlay and mid-run tamper/restore
 of mapped code, both of which must invalidate any superblocks compiled
-over the affected bytes.
+over the affected bytes.  Every run carries a :class:`repro.emu.Profiler`,
+whose function profiles, call edges, cycle total and hot-spot mnemonic
+counts must be identical too.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from repro.corpus.program import (
     RODATA_BASE,
     call_const,
 )
-from repro.emu import ENGINES, Emulator, TamperWatch
+from repro.emu import ENGINES, Emulator, Profiler, TamperWatch
 from repro.ropc import ir
 from repro.x86.registers import EAX, EBX, ECX, EDI, EDX, ESI
 
@@ -96,10 +98,24 @@ def _signature(result):
     )
 
 
-def _run_signature(image, engine):
-    return _signature(
-        Emulator(image, max_steps=MAX_STEPS, engine=engine).run()
+def _profiled(image, engine):
+    emulator = Emulator(image, max_steps=MAX_STEPS, engine=engine)
+    emulator.profiler = Profiler(image)
+    return emulator
+
+
+def _profile_signature(profiler):
+    return (
+        profiler.profiles,
+        dict(profiler.call_edges),
+        profiler.total_cycles,
+        profiler.mnemonic_counts(),
     )
+
+
+def _run_signature(image, engine):
+    emulator = _profiled(image, engine)
+    return _signature(emulator.run()) + _profile_signature(emulator.profiler)
 
 
 # ----------------------------------------------------------------------
@@ -125,9 +141,9 @@ def test_random_programs_identical_under_all_engines(seed):
 # ----------------------------------------------------------------------
 
 def _wurster_signature(protected, patch, engine):
-    emulator = Emulator(protected.image, max_steps=MAX_STEPS, engine=engine)
+    emulator = _profiled(protected.image, engine)
     emulator.memory.patch_code_view(patch.vaddr, patch.new)
-    return _signature(emulator.run())
+    return _signature(emulator.run()) + _profile_signature(emulator.profiler)
 
 
 @settings(max_examples=4, deadline=None)
@@ -204,7 +220,7 @@ def _advance(emulator, n):
 
 def _tamper_restore_run(program, target, tamper_byte, engine):
     """Run with a one-byte code tamper applied and reverted mid-run."""
-    emulator = Emulator(program.image, max_steps=MAX_STEPS, engine=engine)
+    emulator = _profiled(program.image, engine)
     original = emulator.memory.read(target, 1)[0]
     phases = []
     try:
@@ -216,8 +232,11 @@ def _tamper_restore_run(program, target, tamper_byte, engine):
         phases.append((emulator.steps, emulator.cpu.eip))
     except Exception as exc:  # must be identical across engines too
         phases.append(("fault", type(exc).__name__, emulator.steps))
+        phases.append(_profile_signature(emulator.profiler))
         return emulator, tuple(phases), None
-    return emulator, tuple(phases), _signature(emulator.run())
+    return emulator, tuple(phases), (
+        _signature(emulator.run()) + _profile_signature(emulator.profiler)
+    )
 
 
 def test_midrun_tamper_of_cold_code_invalidates_and_matches():
