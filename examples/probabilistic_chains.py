@@ -11,7 +11,6 @@ Run:  python examples/probabilistic_chains.py
 from repro.core import Parallax, ProtectConfig
 from repro.corpus import build_wget
 from repro.emu import Emulator, OperatingSystem
-from repro.emu.syscalls import ExitProgram
 
 
 def main():
@@ -35,16 +34,19 @@ def main():
     snapshots = set()
     digest_addr = protected.image.symbols["digest_wget"].vaddr
 
-    def hook(eip, insn):
-        if eip == digest_addr:
-            snapshots.add(bytes(emulator.memory.read(section.vaddr, section.size)))
+    class DigestEntries:
+        """Run observer: snapshot the chain image on each digest entry."""
 
-    emulator.trace_hook = hook
-    try:
-        while True:
-            emulator.step()
-    except ExitProgram:
-        pass
+        def record_step(self, eip, insn):
+            if eip == digest_addr:
+                snapshots.add(bytes(emulator.memory.read(section.vaddr, section.size)))
+
+        def record_block(self, block, executed):
+            if executed:
+                self.record_step(block.start, block.insns[0])
+
+    emulator.observer = DigestEntries()
+    emulator.run()
     # the first snapshot is taken before generation; drop empty images
     live = {s for s in snapshots if any(s)}
     print(f"runtime chain images observed across calls: {len(snapshots)} "

@@ -19,7 +19,7 @@ accounting is batched: the totals are added once per block, and every
 early exit (taken jcc, fault, syscall, self-modifying write) charges
 the exact prefix the step engine would have charged, so ``RunResult``s
 are byte-identical between engines.  An installed
-``Emulator.profiler`` is told that prefix for every block execution.
+``Emulator.observer`` is told that prefix for every block execution.
 
 Coherence model (what keys a block):
 
@@ -166,7 +166,8 @@ class CompiledBlock:
         self.n = len(insns)
         self.fn = fn
         #: the decoded instruction tuple the body was generated from (the
-        #: profiler derives symbols, costs and call targets from it).
+        #: observers derive symbols, costs, call targets and mnemonics
+        #: from it).
         self.insns = insns
         (self.p0, self.v0) = pages[0]
         (self.p1, self.v1) = pages[1] if len(pages) > 1 else (-1, 0)
@@ -215,7 +216,7 @@ class BlockEngine:
         cache = self._cache
         old = self._old
         rec = get_recorder()
-        record = emu.profiler.record_block if emu.profiler is not None else None
+        record = emu.observer.record_block if emu.observer is not None else None
         hits = 0
         epoch_hits = 0
         page_revals = 0
@@ -298,7 +299,7 @@ class BlockEngine:
         cpu = emu.cpu
         mem = emu.memory
         rec = get_recorder()
-        record = emu.profiler.record_block if emu.profiler is not None else None
+        record = emu.observer.record_block if emu.observer is not None else None
         target = emu.steps + n
         while emu.steps < target:
             b = self._lookup(cpu.eip)

@@ -91,8 +91,9 @@ def _op_ret(emu, insn):
 
 def _op_retf(emu, insn):
     cpu = emu.cpu
-    cpu.eip = emu.pop()
-    emu.pop()  # discard code-segment word
+    target = emu.pop()
+    emu.pop()  # discard code-segment word; a fault here leaves eip alone
+    cpu.eip = target
     if insn.operands:
         cpu.esp = (cpu.esp + insn.operands[0].value) & MASK32
     emu._predict_return(cpu.eip)

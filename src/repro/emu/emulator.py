@@ -4,12 +4,17 @@ Executes binary images with one of two engines sharing a single set
 of instruction semantics (:mod:`repro.emu.dispatch`):
 
 * the **step engine** interprets one instruction at a time through the
-  decode cache — the reference implementation, and the one used when a
-  per-step ``trace_hook`` (:class:`repro.telemetry.ChainExecutionTracer`) is
-  attached;
+  decode cache — the reference implementation;
 * the **block engine** (:mod:`repro.emu.blocks`, the default) compiles
   straight-line instruction runs into cached superblocks and executes
   them without per-instruction dispatch.
+
+A run is watched through one slot, :attr:`Emulator.observer`: both
+engines report what they executed to it — ``record_step(eip, insn)``
+per single-stepped instruction, ``record_block(block, executed)`` per
+superblock execution — after the unit ran, also when it faulted.  The
+profiler (:class:`repro.emu.profiler.Profiler`) and the chain tracer
+(:class:`repro.telemetry.ChainExecutionTracer`) are the two observers.
 
 ROP chains need no special support: the genuine ``ret`` semantics (pop
 eip from the stack) execute them exactly as real hardware would.
@@ -22,7 +27,7 @@ view — this is what makes the Wurster attack expressible.
 from __future__ import annotations
 
 import os as _os
-from typing import Callable, Optional
+from typing import Optional
 
 from ..binary.image import BinaryImage
 from ..x86.decoder import decode
@@ -201,10 +206,6 @@ class Emulator:
         self.cycles = 0
         self.ret_mispredicts = 0
         self._ras = []  # shadow return-address stack (branch predictor)
-        #: optional per-step callback(eip, instruction) for the chain
-        #: tracer; attaching one makes ``run`` fall back to the step
-        #: engine so every instruction is observed.
-        self.trace_hook: Optional[Callable[[int, Instruction], None]] = None
         # Two-generation decode cache: hits promote entries from the old
         # generation into the young one; when the young generation fills
         # up, the old one is dropped wholesale.  Bounded memory without
@@ -212,11 +213,12 @@ class Emulator:
         self._decode_cache = {}
         self._decode_cache_old = {}
         self._block_engine = None
-        #: optional :class:`repro.emu.profiler.Profiler` fed by both
-        #: engines; installed lazily by run() (see REPRO_HOTSPOTS) or
-        #: explicitly by callers.  ``None`` keeps the hot paths to one
+        #: the run observer (``record_step``/``record_block``) fed by
+        #: both engines: a :class:`repro.emu.profiler.Profiler`,
+        #: installed lazily by run() (see REPRO_HOTSPOTS) or by callers,
+        #: or a chain tracer.  ``None`` keeps the hot paths to one
         #: identity check per step or block.
-        self.profiler = None
+        self.observer = None
         self._profiler_auto = False
         #: optional TamperWatch stamping the first execution of tampered
         #: bytes; ``None`` keeps the hot path to one identity check.
@@ -244,17 +246,9 @@ class Emulator:
         return self._block_engine
 
     def _compiled_engine(self):
-        """The compiled-execution engine for this run, or ``None``.
-
-        ``None`` means single-step: either the step engine was selected
-        or a ``trace_hook`` demands that every instruction be observed
-        (a profiler does not: the block engine reports to it directly).
-        """
-        if self.trace_hook is not None:
-            return None
-        if self.engine == ENGINE_BLOCK:
-            return self.blocks
-        return None
+        """The block engine when it was selected, else ``None`` (single-
+        step).  An observer never changes the engine: both report to it."""
+        return self.blocks if self.engine == ENGINE_BLOCK else None
 
     # ------------------------------------------------------------------
     # Operand helpers
@@ -388,8 +382,6 @@ class Emulator:
         insn = self._fetch_decode(eip)
         self.steps += 1
         self.cycles += cost_of(insn)
-        if self.profiler is not None:
-            self.profiler.record_step(eip, insn)
         watch = self.tamper_watch
         if (
             watch is not None
@@ -399,10 +391,17 @@ class Emulator:
             watch.hit_steps = self.steps
             watch.hit_cycles = self.cycles
             watch.hit_eip = eip
-        if self.trace_hook is not None:
-            self.trace_hook(eip, insn)
         self.cpu.eip = (eip + insn.length) & MASK32
-        self._execute(insn)
+        observer = self.observer
+        if observer is None:
+            self._execute(insn)
+        else:
+            # Report after execution (the observer sees the state the
+            # instruction left), also when it faults: it was charged.
+            try:
+                self._execute(insn)
+            finally:
+                observer.record_step(eip, insn)
         return insn
 
     def run(self) -> RunResult:
@@ -459,23 +458,24 @@ class Emulator:
         )
 
     def _maybe_enable_profiler(self, metrics) -> None:
-        """Install a hot-spot profiler per the ``REPRO_HOTSPOTS`` env.
-
-        ``auto`` (default) samples whenever the metrics registry is
-        enabled; ``1`` forces sampling on and ``0`` forces it off (the
-        throughput benchmarks set ``0`` so profiling never skews their
-        numbers).  Never replaces a profiler a caller installed.
+        """Install a hot-spot profiler when the metrics registry is
+        enabled, unless ``REPRO_HOTSPOTS=0`` (the throughput benchmarks
+        set it so profiling never skews their numbers).  Never replaces
+        an observer a caller installed.
         """
-        if self.profiler is not None:
-            return
-        mode = _os.environ.get("REPRO_HOTSPOTS", "auto")
-        if mode == "1" or (mode != "0" and metrics.enabled):
+        if (
+            self.observer is None
+            and metrics.enabled
+            and _os.environ.get("REPRO_HOTSPOTS") != "0"
+        ):
             from .profiler import Profiler
 
-            self.profiler = Profiler(self.image)
+            self.observer = Profiler(self.image)
             self._profiler_auto = True
 
     def _record_engine_metrics(self, metrics) -> None:
+        from .profiler import Profiler
+
         be = self._block_engine
         if be is not None:
             metrics.counter("emu.blocks.compiled").inc(be.compiled)
@@ -486,11 +486,13 @@ class Emulator:
             )
             metrics.counter("emu.blocks.invalidated").inc(be.invalidated)
             metrics.counter("emu.blocks.write_aborts").inc(be.write_aborts)
-        hot = self.profiler
-        if hot is not None:
-            # One labeled family per hot-spot dimension: the mnemonic /
-            # address is a label, not a name suffix, so Prometheus sees
-            # one family and the cardinality guard bounds the series.
+        hot = self.observer
+        if isinstance(hot, Profiler):
+            # Only a profiler has hot spots to flush (a chain tracer
+            # does not).  One labeled family per hot-spot dimension: the
+            # mnemonic / address is a label, not a name suffix, so
+            # Prometheus sees one family and the cardinality guard
+            # bounds the series.
             for mnemonic, count in hot.top_mnemonics(16):
                 metrics.counter(
                     "emu.hot.mnemonic", labels={"mnemonic": mnemonic}

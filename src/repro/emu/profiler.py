@@ -6,7 +6,7 @@ time it accounts for.  The same run also answers *which instructions and
 superblocks* the engines spend their time in — the attribution §V needs
 when a verification chain shows up as slowdown.
 
-:class:`Profiler` is installed as ``Emulator.profiler`` and fed by both
+:class:`Profiler` is installed as ``Emulator.observer`` and fed by both
 engines:
 
 * :meth:`Emulator.step` reports every single-stepped instruction as
@@ -291,5 +291,5 @@ def profile_run(
     os = OperatingSystem(stdin=stdin, debugger_attached=debugger_attached)
     emulator = Emulator(image, os=os, max_steps=max_steps, engine=engine)
     profiler = Profiler(image)
-    emulator.profiler = profiler
+    emulator.observer = profiler
     return emulator.run(), profiler

@@ -21,7 +21,7 @@ from ..cache import (
     get_cache,
     reset_caches,
 )
-from .pool import mp_context, run_tasks, worker_init
+from .pool import mp_context, worker_init
 from .runner import PipelineResult, config_for_program, protect_all, protect_one
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "protect_all",
     "protect_one",
     "mp_context",
-    "run_tasks",
     "worker_init",
     "cache_manager",
     "cache_session",

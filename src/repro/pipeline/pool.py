@@ -1,19 +1,18 @@
 """Shared multiprocessing plumbing for pipeline fan-out.
 
-Both the protect-all runner and the gadget finder's per-section fan-out
-need the same things from a worker pool: a start-method choice that
-prefers ``fork``, a worker initializer that mirrors the parent's cache
+The protect-all runner and the serve layer's process executor need the
+same things from a worker pool: a start-method choice that prefers
+``fork``, and a worker initializer that mirrors the parent's cache
 configuration (and silences worker telemetry — workers report samples
-back explicitly instead), and order-preserving task mapping so results
-merge deterministically no matter which worker finishes first.
+back explicitly instead).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
-__all__ = ["mp_context", "worker_init", "run_tasks"]
+__all__ = ["mp_context", "worker_init"]
 
 
 def mp_context():
@@ -42,33 +41,3 @@ def worker_init(cache_dir: Optional[str], enabled: bool) -> None:
     # inherited TelemetryContext would swallow samples into a forked
     # copy of the parent's child registry that never flushes home.
     telemetry.clear_context()
-
-
-def run_tasks(
-    func: Callable[[dict], dict],
-    tasks: Sequence[dict],
-    jobs: int,
-) -> List[dict]:
-    """Map ``func`` over ``tasks`` on a worker pool, preserving order.
-
-    ``jobs=1`` (or a single task) runs inline in this process — no
-    subprocesses, the parent's telemetry and cache see everything.
-    Otherwise a pool of ``min(jobs, len(tasks))`` workers is forked with
-    :func:`worker_init` mirroring the parent's cache configuration, and
-    results come back in input order (``imap`` preserves it).
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    tasks = list(tasks)
-    if jobs == 1 or len(tasks) <= 1:
-        return [func(task) for task in tasks]
-    from ..cache import cache_manager
-
-    manager = cache_manager()
-    ctx = mp_context()
-    with ctx.Pool(
-        min(jobs, len(tasks)),
-        initializer=worker_init,
-        initargs=(manager.cache_dir, manager.enabled),
-    ) as pool:
-        return list(pool.imap(func, tasks, chunksize=1))

@@ -2,14 +2,17 @@
 
 A tampered gadget makes a verification chain malfunction, but the
 malfunction (crash, wrong output) surfaces far from its cause.  The
-:class:`ChainExecutionTracer` hooks the emulator's per-step callback
-and records every entry into a known chain gadget — address, mnemonic
-sequence, esp/eip at entry, and whether the gadget is
-overlap-preferred — so a failing run can be walked backwards to the
-exact gadget whose bytes were corrupted.
+:class:`ChainExecutionTracer` is a run observer (``Emulator.observer``,
+fed by either engine) that records every dispatch into a known chain
+gadget — address, mnemonic sequence, esp/eip and cycle counter at
+entry, and whether the gadget is overlap-preferred — so a failing run
+can be walked backwards to the exact gadget whose bytes were corrupted.
 
-Installation is guarded: a disabled tracer never touches
-``Emulator.trace_hook``, so the per-step fast path stays hook-free.
+A dispatch is a ``ret`` that lands on a known gadget address, committed
+when the gadget's first instruction starts.  A chain enters every
+gadget through a ``ret`` and a ``ret`` ends every superblock, so the
+block engine's ``(block, executed)`` reports carry each dispatch
+exactly, and step and block runs record identical steps.
 """
 
 from __future__ import annotations
@@ -80,8 +83,6 @@ class ChainExecutionTracer:
         max_steps: recording cap; the newest entries are kept by
             wrapping (the *end* of a dying chain is the interesting
             part).
-        enabled: disabled tracers refuse installation and record
-            nothing.
     """
 
     def __init__(
@@ -90,17 +91,18 @@ class ChainExecutionTracer:
         preferred: Iterable[int] = (),
         gadget_spans: Optional[Dict[int, int]] = None,
         max_steps: int = 100_000,
-        enabled: bool = True,
     ):
         self.gadget_set: Set[int] = set(gadget_addresses)
         self.preferred: Set[int] = set(preferred)
         self.gadget_spans = dict(gadget_spans or {})
         self.max_steps = max_steps
-        self.enabled = enabled
         self.steps: List[ChainStep] = []
         self.dropped = 0
         self.instructions_seen = 0
         self._current: Optional[ChainStep] = None
+        #: ``(address, esp, cycles)`` of a ``ret`` that landed on a
+        #: gadget, until the gadget's first instruction starts
+        self._pending: Optional[tuple] = None
         self._seq = 0
         self._emulator = None
 
@@ -109,60 +111,74 @@ class ChainExecutionTracer:
         """Build a tracer for one :class:`~repro.core.report.ChainRecord`."""
         return cls(record.gadget_addresses, preferred=preferred, **kwargs)
 
-    # -- hook -----------------------------------------------------------
+    # -- observer protocol ----------------------------------------------
 
-    def install(self, emulator) -> bool:
-        """Attach to ``emulator.trace_hook`` (chaining any existing hook).
-
-        Returns False without touching the emulator when disabled.
-        """
-        if not self.enabled:
-            return False
-        self._emulator = emulator
-        previous = emulator.trace_hook
-        if previous is None:
-            emulator.trace_hook = self.on_step
-        else:
-            def chained(eip, insn, _prev=previous, _self=self.on_step):
-                _prev(eip, insn)
-                _self(eip, insn)
-
-            emulator.trace_hook = chained
-        return True
-
-    def on_step(self, eip: int, insn) -> None:
-        self.instructions_seen += 1
-        if eip in self.gadget_set:
-            emulator = self._emulator
-            esp = emulator.cpu.esp if emulator is not None else 0
-            cycles = emulator.cycles if emulator is not None else None
-            step = ChainStep(
-                self._seq,
-                address=eip,
-                esp=esp,
-                eip=eip,
-                preferred=eip in self.preferred,
-                cycles=cycles,
+    def install(self, emulator) -> None:
+        """Become ``emulator.observer``; the slot must be empty."""
+        if emulator.observer is not None:
+            raise RuntimeError(
+                f"emulator already has an observer: {emulator.observer!r}"
             )
-            self._seq += 1
-            self._current = step
-            if len(self.steps) >= self.max_steps:
-                self.steps.pop(0)
-                self.dropped += 1
-            self.steps.append(step)
-            recorder = get_recorder()
-            if recorder.enabled:
-                recorder.record(
-                    "chain_dispatch",
-                    gadget=eip,
-                    esp=esp,
-                    seq=step.seq,
-                    preferred=step.preferred,
-                )
+        self._emulator = emulator
+        emulator.observer = self
+
+    def record_step(self, eip: int, insn) -> None:
+        """One single-stepped instruction, reported after it ran."""
+        self._observe(eip, (insn,))
+
+    def record_block(self, block, executed: int) -> None:
+        """One superblock execution that ran its first ``executed``
+        instructions."""
+        if executed:
+            self._observe(block.start, block.insns[:executed])
+
+    def _observe(self, start: int, insns) -> None:
+        """``insns`` ran from ``start``; only the last can be a ``ret``,
+        which ends every superblock.  Commit a dispatch armed for
+        ``start``, extend the current gadget, and after a ``ret`` arm a
+        dispatch if it landed on a known gadget."""
+        self.instructions_seen += len(insns)
+        if self._pending is not None:
+            self._dispatch(start)
         if self._current is not None:
-            self._current.mnemonics.append(insn.mnemonic)
-            if insn.is_return:
-                self._current = None
+            self._current.mnemonics.extend(insn.mnemonic for insn in insns)
+        if insns[-1].is_return:
+            self._current = None
+            emulator = self._emulator
+            cpu = emulator.cpu
+            if cpu.eip in self.gadget_set:
+                self._pending = (cpu.eip, cpu.esp, emulator.cycles)
+
+    def _dispatch(self, start: int) -> None:
+        """The instruction at ``start`` ran: commit the armed dispatch
+        if that is where the ``ret`` landed."""
+        address, esp, cycles = self._pending
+        self._pending = None
+        if start != address:
+            return
+        step = ChainStep(
+            self._seq,
+            address=address,
+            esp=esp,
+            eip=address,
+            preferred=address in self.preferred,
+            cycles=cycles,
+        )
+        self._seq += 1
+        self._current = step
+        if len(self.steps) >= self.max_steps:
+            self.steps.pop(0)
+            self.dropped += 1
+        self.steps.append(step)
+        recorder = get_recorder()
+        if recorder.enabled:
+            recorder.record(
+                "chain_dispatch",
+                gadget=address,
+                esp=esp,
+                seq=step.seq,
+                preferred=step.preferred,
+            )
 
     # -- analysis -------------------------------------------------------
 
@@ -196,24 +212,27 @@ class ChainExecutionTracer:
         return step.address if step else None
 
     def divergence(self, expected: Iterable[int]) -> Optional[int]:
-        """Index of the first executed gadget differing from ``expected``
-        (None when the executed prefix matches)."""
+        """Index of the first dispatch where the executed gadget sequence
+        and ``expected`` differ, a dispatch only one of them has included
+        (the chain stopped short, or ran on); ``None`` when they are
+        equal."""
         expected = list(expected)
         for index, step in enumerate(self.steps):
             if index >= len(expected) or step.address != expected[index]:
                 return index
-        return None
+        return len(self.steps) if len(self.steps) < len(expected) else None
 
     def divergence_cycles(self, expected: Iterable[int]) -> Optional[int]:
         """Cycle stamp of the first divergent gadget dispatch.
 
         This is the earliest point the chain's behaviour observably left
         the expected gadget sequence — the tightest upper bound on when
-        tampering corrupted the dispatch.  ``None`` when the executed
-        prefix matches ``expected``.
+        tampering corrupted the dispatch.  ``None`` when the sequences
+        are equal, or when the chain stopped short (the divergent
+        dispatch never happened, so there is nothing to stamp).
         """
         index = self.divergence(expected)
-        if index is None:
+        if index is None or index == len(self.steps):
             return None
         return self.steps[index].cycles
 

@@ -36,7 +36,7 @@ __all__ = [
 
 #: Artifact kinds :func:`load_artifact` can sniff — the CLI names these
 #: when a path holds none of them.
-ARTIFACT_KINDS = ("metrics", "trace", "journal", "chrome", "coverage")
+ARTIFACT_KINDS = ("metrics", "trace", "journal", "chrome", "coverage", "chain")
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +301,8 @@ def load_artifact(path: str) -> Tuple[str, Any]:
 
     Kinds: ``metrics`` (samples dict), ``trace`` (span dicts),
     ``journal`` (event dicts), ``chrome`` (trace-event payload),
-    ``coverage`` (``repro coverage --json`` output).
+    ``coverage`` (``repro coverage --json`` output), ``chain`` (chain
+    step dicts, from :meth:`ChainExecutionTracer.write_jsonl`).
     """
     with open(path) as fh:
         text = fh.read()
@@ -332,7 +333,7 @@ def load_artifact(path: str) -> Tuple[str, Any]:
     if types <= {"event", "journal_summary"}:
         return "journal", records
     if types <= {"chain_step", "chain_trace"}:
-        return "journal", records
+        return "chain", records
     raise ValueError(f"{path}: unrecognized artifact (record types {sorted(types)})")
 
 
@@ -584,6 +585,18 @@ def _stats_journal(records: List[dict]) -> List[str]:
     return lines
 
 
+def _stats_chain(records: List[dict]) -> List[str]:
+    summary = next((r for r in records if r.get("type") == "chain_trace"), {})
+    steps = [r for r in records if r.get("type") == "chain_step"]
+    last = summary.get("last_gadget")
+    return [
+        f"chain trace: {summary.get('steps_recorded', len(steps))} steps"
+        f" recorded ({summary.get('steps_dropped', 0)} dropped)",
+        f"  preferred hits    {summary.get('preferred_hits', 0):>12,}",
+        f"  last gadget       {'-' if last is None else f'{last:#x}':>12}",
+    ]
+
+
 def _stats_chrome(payload: dict) -> List[str]:
     events = [e for e in payload.get("traceEvents", []) if e.get("ph") == "X"]
     spans = [
@@ -637,6 +650,8 @@ def render_stats(kind: str, data) -> str:
         lines = _stats_chrome(data)
     elif kind == "coverage":
         lines = _stats_coverage(data)
+    elif kind == "chain":
+        lines = _stats_chain(data)
     else:
         raise ValueError(f"unknown artifact kind {kind!r}")
     return "\n".join(lines)

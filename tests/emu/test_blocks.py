@@ -6,7 +6,7 @@ import pytest
 import repro.emu.blocks as blocks_mod
 from repro.binary import BinaryImage, Perm, Section
 from repro.emu import Emulator, StepLimitExceeded
-from repro.x86 import Assembler, EAX, EBX, ECX, EDX, Imm, mem32
+from repro.x86 import Assembler, EAX, EBX, ECX, EDX, ESP, Imm, mem32
 
 BASE = 0x1000
 
@@ -158,3 +158,25 @@ def test_decode_cache_generations_rotate(monkeypatch):
     emu = Emulator(make_image(build_loop), max_steps=100_000, engine="step")
     assert emu.call_function(BASE) == sum(range(1, 51))
     assert len(emu._decode_cache) <= 2
+
+
+def test_retf_faulting_on_its_segment_pop_is_charged_identically():
+    """A ``retf`` whose second pop faults must not leave eip at the
+    popped target: the block engine locates the faulting instruction by
+    eip to charge the executed prefix."""
+    a = Assembler(base=BASE)
+    a.mov(EAX, 1)
+    a.mov(ESP, Imm(0xC00000 - 4, 32))  # eip word mapped, cs word not
+    a.retf()
+    img = BinaryImage("t")
+    img.add_section(Section(".text", BASE, a.assemble(), Perm.RX))
+    out = []
+    for engine in ("step", "block"):
+        emu = Emulator(img, max_steps=100, engine=engine)
+        emu.cpu.eip = BASE
+        result = emu.run()
+        assert result.crashed, engine
+        out.append((result.steps, result.cycles, emu.cpu.eip, emu.cpu.esp))
+    assert out[0] == out[1]
+    assert out[0][0] == 3
+

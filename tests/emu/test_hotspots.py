@@ -86,34 +86,34 @@ def test_report_renders_mnemonic_and_block_tables():
 
 def test_step_engine_samples_every_instruction():
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="step")
-    emu.profiler = Profiler()
+    emu.observer = Profiler()
     emu.call_function(BASE)
-    counts = emu.profiler.mnemonic_counts()
+    counts = emu.observer.mnemonic_counts()
     assert sum(counts.values()) == emu.steps
     assert counts.get("add", 0) == 50
-    assert not emu.profiler.block_samples  # no blocks in the step engine
+    assert not emu.observer.block_samples  # no blocks in the step engine
 
 
 def test_block_engine_samples_block_executions():
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="block")
-    emu.profiler = Profiler()
+    emu.observer = Profiler()
     emu.call_function(BASE)
-    hot = emu.profiler
+    hot = emu.observer
     assert hot.block_samples, "block engine must record block executions"
     assert max(hot.block_samples.values()) >= 40  # the loop body re-enters
 
     reference = Emulator(make_loop_image(), max_steps=100_000, engine="step")
-    reference.profiler = Profiler()
+    reference.observer = Profiler()
     reference.call_function(BASE)
     # exact, not executions x occurrences: identical to the step engine
-    assert hot.mnemonic_counts() == reference.profiler.mnemonic_counts()
+    assert hot.mnemonic_counts() == reference.observer.mnemonic_counts()
     assert hot.total_samples == emu.steps
 
 
 def test_no_sampling_without_a_profiler():
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="block")
     emu.call_function(BASE)
-    assert emu.profiler is None  # call_function never auto-installs
+    assert emu.observer is None  # call_function never auto-installs
 
 
 # ----------------------------------------------------------------------
@@ -126,33 +126,35 @@ def test_auto_install_follows_metrics_and_env(monkeypatch):
     monkeypatch.delenv("REPRO_HOTSPOTS", raising=False)
     emu = Emulator(img, max_steps=100_000, engine="step")
     emu._maybe_enable_profiler(MetricsRegistry(enabled=False))
-    assert emu.profiler is None  # auto + metrics off -> no profiler
+    assert emu.observer is None  # auto + metrics off -> no profiler
     emu._maybe_enable_profiler(MetricsRegistry(enabled=True))
-    assert emu.profiler is not None and emu._profiler_auto
+    assert emu.observer is not None and emu._profiler_auto
 
     monkeypatch.setenv("REPRO_HOTSPOTS", "0")
     forced_off = Emulator(img, max_steps=100_000, engine="step")
     forced_off._maybe_enable_profiler(MetricsRegistry(enabled=True))
-    assert forced_off.profiler is None  # "0" beats enabled metrics
+    assert forced_off.observer is None  # "0" beats enabled metrics
 
     monkeypatch.setenv("REPRO_HOTSPOTS", "1")
-    forced_on = Emulator(img, max_steps=100_000, engine="step")
-    forced_on._maybe_enable_profiler(MetricsRegistry(enabled=False))
-    assert forced_on.profiler is not None  # "1" beats disabled metrics
+    other = Emulator(img, max_steps=100_000, engine="step")
+    other._maybe_enable_profiler(MetricsRegistry(enabled=False))
+    assert other.observer is None  # any value but "0" means auto
+    other._maybe_enable_profiler(MetricsRegistry(enabled=True))
+    assert other.observer is not None
 
 
 def test_auto_install_never_replaces_a_caller_profiler(monkeypatch):
-    monkeypatch.setenv("REPRO_HOTSPOTS", "1")
+    monkeypatch.delenv("REPRO_HOTSPOTS", raising=False)
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="step")
     mine = Profiler()
-    emu.profiler = mine
+    emu.observer = mine
     emu._maybe_enable_profiler(MetricsRegistry(enabled=True))
-    assert emu.profiler is mine and not emu._profiler_auto
+    assert emu.observer is mine and not emu._profiler_auto
 
 
 def test_metrics_export_flushes_auto_profiler():
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="step")
-    emu.profiler = Profiler()
+    emu.observer = Profiler()
     emu._profiler_auto = True
     emu.call_function(BASE)
     registry = MetricsRegistry(enabled=True)
@@ -161,13 +163,13 @@ def test_metrics_export_flushes_auto_profiler():
     assert samples['emu.hot.mnemonic{mnemonic="add"}']["value"] == 50
     # auto-installed profilers are cleared after the flush so repeated
     # runs do not double-count
-    assert emu.profiler.total_samples == 0
+    assert emu.observer.total_samples == 0
 
 
 def test_metrics_export_retains_explicit_profiler():
     emu = Emulator(make_loop_image(), max_steps=100_000, engine="block")
     mine = Profiler()
-    emu.profiler = mine  # caller-installed: _profiler_auto stays False
+    emu.observer = mine  # caller-installed: _profiler_auto stays False
     emu.call_function(BASE)
     registry = MetricsRegistry(enabled=True)
     emu._record_engine_metrics(registry)
@@ -186,4 +188,4 @@ def test_run_under_metrics_session_exports_hot_counters(monkeypatch):
         samples = metrics.to_dict()
     hot_names = [n for n in samples if n.startswith("emu.hot.mnemonic{")]
     assert hot_names, "run() must auto-install and flush the profiler"
-    assert emu.profiler is not None and emu.profiler.total_samples == 0
+    assert emu.observer is not None and emu.observer.total_samples == 0

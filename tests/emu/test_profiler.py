@@ -60,13 +60,13 @@ def profile_both(image, drive, max_steps=100_000):
     out = {}
     for engine in ENGINES:
         emu = Emulator(image, max_steps=max_steps, engine=engine)
-        emu.profiler = Profiler(image)
+        emu.observer = Profiler(image)
         try:
             outcome = drive(emu)
         except StepLimitExceeded as exc:
             outcome = repr(exc)
-        assert emu.profiler.total_samples == emu.steps
-        out[engine] = (outcome, emu.steps, emu.cycles, _fold(emu.profiler))
+        assert emu.observer.total_samples == emu.steps
+        out[engine] = (outcome, emu.steps, emu.cycles, _fold(emu.observer))
         if engine == "block":
             block_emu = emu
     assert out["step"] == out["block"], out
@@ -101,13 +101,13 @@ def call_base(emu):
 
 def test_taken_jcc_side_exit_charges_the_prefix():
     emu = profile_both(make_image(build_loop), call_base)
-    counts = emu.profiler.mnemonic_counts()
+    counts = emu.observer.mnemonic_counts()
     # the loop-body superblock runs through its jne 50 times but
     # reaches its trailing ret once: side exits are not whole blocks
     assert counts["add"] == counts["jne"] == 50
     assert counts["ret"] == 1
-    assert max(emu.profiler.block_samples.values()) >= 49
-    assert emu.profiler.profiles["f"].steps == emu.steps
+    assert max(emu.observer.block_samples.values()) >= 49
+    assert emu.observer.profiles["f"].steps == emu.steps
 
 
 def test_fault_mid_block_is_charged_through_the_faulting_insn():
@@ -125,7 +125,7 @@ def test_fault_mid_block_is_charged_through_the_faulting_insn():
 
     emu = profile_both(make_image(build), run)
     assert emu.steps == 3
-    assert emu.profiler.profiles["f"].steps == 3
+    assert emu.observer.profiles["f"].steps == 3
 
 
 def test_self_modifying_store_abort_charges_the_prefix():
@@ -142,14 +142,14 @@ def test_self_modifying_store_abort_charges_the_prefix():
 
     emu = profile_both(make_image(build), call_base)
     assert emu.blocks.write_aborts >= 1
-    counts = emu.profiler.mnemonic_counts()
+    counts = emu.observer.mnemonic_counts()
     assert counts["dec"] == 4 and "inc" not in counts
 
 
 def test_step_limit_landing_mid_block():
     emu = profile_both(make_image(build_loop), call_base, max_steps=37)
     assert emu.steps == 37
-    assert emu.profiler.total_samples == 37
+    assert emu.observer.total_samples == 37
 
 
 def test_uncached_stack_block():
@@ -165,8 +165,8 @@ def test_uncached_stack_block():
 
     emu = profile_both(make_image(build_loop), run)
     assert emu.blocks.compiled >= 3  # recompiled every call, never cached
-    assert emu.profiler.profiles["<unknown>"].steps == 9
-    assert emu.profiler.mnemonic_counts()["add"] == 3
+    assert emu.observer.profiles["<unknown>"].steps == 9
+    assert emu.observer.mnemonic_counts()["add"] == 3
 
 
 def test_run_steps_lands_mid_block():
@@ -180,7 +180,7 @@ def test_run_steps_lands_mid_block():
         return emu.cpu.eip
 
     emu = profile_both(make_image(build_loop), run)
-    assert emu.profiler.total_samples == 17
+    assert emu.observer.total_samples == 17
 
 
 def test_tamper_watch_single_steps_are_observed():
@@ -195,7 +195,7 @@ def test_tamper_watch_single_steps_are_observed():
 
     emu = profile_both(make_image(build_loop), run)
     assert emu.tamper_watch.hit
-    assert emu.profiler.profiles["f"].steps == emu.steps
+    assert emu.observer.profiles["f"].steps == emu.steps
 
 
 def _call_graph_image():
@@ -229,7 +229,7 @@ def test_call_to_symbolless_code_counts_as_unknown():
     # dropped from both the callee profile and the call-edge counter.
     image, bounds = _call_graph_image()
     emulator = profile_both(image, lambda emu: emu.call_function(bounds["main"]))
-    profiler = emulator.profiler
+    profiler = emulator.observer
     assert profiler.call_count("<unknown>") == 1
     assert profiler.call_edges[("main", "<unknown>")] == 1
     assert profiler.call_count("helper") == 2
@@ -240,7 +240,7 @@ def test_callers_of_deduplicates_by_caller():
     for engine in ENGINES:
         emulator = Emulator(image, max_steps=10_000, engine=engine)
         profiler = Profiler(image)
-        emulator.profiler = profiler
+        emulator.observer = profiler
         emulator.call_function(bounds["main"])  # helper called twice from main
         assert profiler.callers_of("helper") == 1
         emulator.call_function(bounds["alt"])   # second distinct caller

@@ -9,8 +9,11 @@ ride along: the Wurster code-view overlay and mid-run tamper/restore
 of mapped code, both of which must invalidate any superblocks compiled
 over the affected bytes.  Every run carries a :class:`repro.emu.Profiler`,
 whose function profiles, call edges, cycle total and hot-spot mnemonic
-counts must be identical too.
+counts must be identical too.  A chain tracer, the other run observer,
+must record identical gadget dispatches on clean and tampered runs.
 """
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +30,7 @@ from repro.corpus.program import (
 )
 from repro.emu import ENGINES, Emulator, Profiler, TamperWatch
 from repro.ropc import ir
+from repro.telemetry import ChainExecutionTracer
 from repro.x86.registers import EAX, EBX, ECX, EDI, EDX, ESI
 
 MAX_STEPS = 2_000_000
@@ -100,7 +104,7 @@ def _signature(result):
 
 def _profiled(image, engine):
     emulator = Emulator(image, max_steps=MAX_STEPS, engine=engine)
-    emulator.profiler = Profiler(image)
+    emulator.observer = Profiler(image)
     return emulator
 
 
@@ -115,7 +119,7 @@ def _profile_signature(profiler):
 
 def _run_signature(image, engine):
     emulator = _profiled(image, engine)
-    return _signature(emulator.run()) + _profile_signature(emulator.profiler)
+    return _signature(emulator.run()) + _profile_signature(emulator.observer)
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +147,7 @@ def test_random_programs_identical_under_all_engines(seed):
 def _wurster_signature(protected, patch, engine):
     emulator = _profiled(protected.image, engine)
     emulator.memory.patch_code_view(patch.vaddr, patch.new)
-    return _signature(emulator.run()) + _profile_signature(emulator.profiler)
+    return _signature(emulator.run()) + _profile_signature(emulator.observer)
 
 
 @settings(max_examples=4, deadline=None)
@@ -232,10 +236,10 @@ def _tamper_restore_run(program, target, tamper_byte, engine):
         phases.append((emulator.steps, emulator.cpu.eip))
     except Exception as exc:  # must be identical across engines too
         phases.append(("fault", type(exc).__name__, emulator.steps))
-        phases.append(_profile_signature(emulator.profiler))
+        phases.append(_profile_signature(emulator.observer))
         return emulator, tuple(phases), None
     return emulator, tuple(phases), (
-        _signature(emulator.run()) + _profile_signature(emulator.profiler)
+        _signature(emulator.run()) + _profile_signature(emulator.observer)
     )
 
 
@@ -270,3 +274,58 @@ def test_midrun_tamper_of_hot_code_matches():
         _, phases, sig = _tamper_restore_run(program, target, 0x90, engine)
         outcomes[engine] = (phases, sig)
     assert all(o == outcomes["step"] for o in outcomes.values()), outcomes
+
+
+# ----------------------------------------------------------------------
+# Chain tracer: identical dispatches on clean and tampered runs
+# ----------------------------------------------------------------------
+
+def _chain_trace_signature(image, record, engine, code_patches=()):
+    emulator = Emulator(image, max_steps=MAX_STEPS * 10, engine=engine)
+    for patch in code_patches:
+        emulator.memory.patch_code_view(patch.vaddr, patch.new)
+    text = {
+        addr for addr in record.gadget_addresses
+        if image.section_at(addr).name == ".text"
+    }
+    tracer = ChainExecutionTracer.for_record(record, preferred=text)
+    tracer.install(emulator)
+    result = emulator.run()
+    steps = [
+        (s.address, s.esp, s.eip, s.cycles, s.preferred, tuple(s.mnemonics))
+        for s in tracer.steps
+    ]
+    return (
+        _signature(result),
+        steps,
+        tracer.instructions_seen,
+        tracer.corrupted_gadget(result.fault),
+    )
+
+
+@pytest.mark.parametrize("case", ["clean", "static", "wurster"])
+def test_chain_trace_identical_under_all_engines(protected_wget_cleartext, case):
+    protected = protected_wget_cleartext
+    image = protected.image
+    record = protected.report.chains[0]
+    target = next(
+        addr for addr in record.gadget_addresses
+        if image.section_at(addr).name == ".text"
+    )
+    patches = ()
+    if case == "static":
+        image = image.clone()
+        corrupt_byte(image, target).apply(image)
+    elif case == "wurster":
+        patches = (corrupt_byte(image, target),)
+    sigs = {
+        e: _chain_trace_signature(image, record, e, patches) for e in ENGINES
+    }
+    assert sigs["block"] == sigs["step"]
+    steps = sigs["step"][1]
+    assert steps, "the chain must dispatch through its gadgets"
+    if case == "clean":
+        assert sigs["step"][0][4] == "None"  # no fault
+    else:
+        assert sigs["step"][3] == target
+

@@ -1,12 +1,45 @@
 """Chain-execution tracing: pinpoint the corrupted gadget of a chain."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.attacks.patching import corrupt_byte
-from repro.emu import Emulator
-from repro.telemetry import ChainExecutionTracer, trace_chain_run
+from repro.binary import BinaryImage, Perm, Section
+from repro.emu import ENGINES, Emulator, Profiler
+from repro.emu.dispatch import cost_of
+from repro.telemetry import (
+    ChainExecutionTracer,
+    MetricsRegistry,
+    trace_chain_run,
+)
+from repro.x86 import Assembler, EAX, ESP, Imm
+
+RET = SimpleNamespace(mnemonic="ret", is_return=True)
+
+
+def _fake_emulator():
+    return SimpleNamespace(
+        cpu=SimpleNamespace(eip=0, esp=0), cycles=0, observer=None
+    )
+
+
+def _drive_chain(tracer, addresses, stamps=None):
+    """Report a chain of one-``ret`` gadgets to ``tracer``: a ``ret`` at
+    0x100 lands on ``addresses[0]`` and each gadget's ``ret`` lands on
+    the next; ``stamps[i]`` is the cycle counter when gadget i is
+    entered."""
+    emulator = _fake_emulator()
+    tracer.install(emulator)
+    stamps = stamps or [0] * len(addresses)
+    previous = 0x100
+    for address, stamp in zip(addresses, stamps):
+        emulator.cpu.eip, emulator.cycles = address, stamp
+        tracer.record_step(previous, RET)
+        previous = address
+    emulator.cpu.eip = 0
+    tracer.record_step(previous, RET)
 
 
 def _text_gadget(protected):
@@ -69,41 +102,40 @@ def test_corrupted_gadget_via_fault_eip_and_spans():
     assert tracer.corrupted_gadget(FakeFault()) is None
 
 
-def test_disabled_tracer_installs_nothing():
-    emulator = Emulator()
-    tracer = ChainExecutionTracer([0x1000], enabled=False)
-    assert tracer.install(emulator) is False
-    assert emulator.trace_hook is None
-
-
-def test_install_chains_existing_hook():
-    emulator = Emulator()
-    seen = []
-    emulator.trace_hook = lambda eip, insn: seen.append(eip)
+def test_install_fills_the_observer_slot_once():
+    emulator = Emulator(engine="block")
     tracer = ChainExecutionTracer([0x1000])
-    assert tracer.install(emulator) is True
+    tracer.install(emulator)
+    assert emulator.observer is tracer
+    # the block engine reports to the tracer: no step-engine fallback
+    assert emulator._compiled_engine() is emulator.blocks
+    with pytest.raises(RuntimeError):
+        ChainExecutionTracer([0x1000]).install(emulator)
 
-    class FakeInsn:
-        mnemonic = "ret"
-        is_return = True
+    profiled = Emulator()
+    profiled.observer = Profiler()
+    with pytest.raises(RuntimeError):
+        tracer.install(profiled)
 
-    emulator.trace_hook(0x1000, FakeInsn())
-    assert seen == [0x1000]  # previous hook still called
-    assert tracer.steps[0].address == 0x1000
+
+def test_traced_run_publishes_no_hot_spot_counters():
+    emulator = Emulator()
+    ChainExecutionTracer([0x1000]).install(emulator)
+    registry = MetricsRegistry(enabled=True)
+    emulator._record_engine_metrics(registry)
+    assert not [n for n in registry.to_dict() if n.startswith("emu.hot.")]
 
 
 def test_divergence_against_expected_sequence():
     tracer = ChainExecutionTracer([0x1, 0x2, 0x3])
-
-    class FakeInsn:
-        mnemonic = "ret"
-        is_return = True
-
-    for eip in (0x1, 0x2, 0x3):
-        tracer.on_step(eip, FakeInsn())
+    _drive_chain(tracer, [0x1, 0x2, 0x3])
+    assert [step.address for step in tracer.steps] == [0x1, 0x2, 0x3]
+    assert all(step.mnemonics == ["ret"] for step in tracer.steps)
+    assert tracer.instructions_seen == 4
     assert tracer.divergence([0x1, 0x2, 0x3]) is None
     assert tracer.divergence([0x1, 0x9, 0x3]) == 1
     assert tracer.divergence([0x1]) == 1  # executed more than expected
+    assert tracer.divergence([0x1, 0x2, 0x3, 0x4]) == 3  # stopped short
 
 
 def test_steps_carry_monotonic_cycle_stamps(protected_wget_cleartext):
@@ -121,26 +153,102 @@ def test_steps_carry_monotonic_cycle_stamps(protected_wget_cleartext):
 
 def test_divergence_cycles_locates_first_divergent_dispatch():
     tracer = ChainExecutionTracer([0x1, 0x2, 0x3])
-
-    class FakeInsn:
-        mnemonic = "ret"
-        is_return = True
-
-    class FakeCpu:
-        esp = 0
-
-    class FakeEmulator:
-        cpu = FakeCpu()
-        cycles = 0
-
-    emulator = FakeEmulator()
-    tracer._emulator = emulator
-    for cycles, eip in ((10, 0x1), (20, 0x2), (30, 0x3)):
-        emulator.cycles = cycles
-        tracer.on_step(eip, FakeInsn())
+    _drive_chain(tracer, [0x1, 0x2, 0x3], stamps=[10, 20, 30])
+    assert [step.cycles for step in tracer.steps] == [10, 20, 30]
     assert tracer.divergence_cycles([0x1, 0x2, 0x3]) is None
     assert tracer.divergence_cycles([0x1, 0x9, 0x3]) == 20
     assert tracer.divergence_cycles([0x1]) == 20  # ran past expectations
+    # stopped short: the divergent dispatch never happened
+    assert tracer.divergence_cycles([0x1, 0x2, 0x3, 0x4]) is None
+
+
+def test_dispatch_commits_only_when_the_gadget_starts():
+    tracer = ChainExecutionTracer([0x1])
+    emulator = _fake_emulator()
+    tracer.install(emulator)
+    emulator.cpu.eip, emulator.cpu.esp, emulator.cycles = 0x1, 0x80, 7
+    tracer.record_step(0x100, RET)
+    assert tracer.steps == []  # the ret landed; nothing started yet
+    emulator.cpu.esp, emulator.cycles = 0x7C, 9  # the gadget's push ran
+    tracer.record_step(0x1, SimpleNamespace(mnemonic="push", is_return=False))
+    (step,) = tracer.steps
+    # stamped with the entry state, not the state after the first insn
+    assert (step.address, step.esp, step.cycles) == (0x1, 0x80, 7)
+    assert step.mnemonics == ["push"]
+
+
+# ----------------------------------------------------------------------
+# Dispatch definition on real runs, identical under both engines
+# ----------------------------------------------------------------------
+
+BASE = 0x1000
+
+
+def _dispatch_image():
+    """``f`` falls through into gadget ``g``; gadget ``h``'s ``ret``
+    faults (esp unmapped) right in front of gadget ``k``; ``dg``/``dh``
+    dispatch into ``g``/``h`` with a ``ret``."""
+    a = Assembler(base=BASE)
+    labels = {"f": a.label("f")}
+    a.mov(EAX, 1)
+    labels["g"] = a.label("g")
+    a.add(EAX, 2)
+    a.ret()
+    labels["h"] = a.label("h")
+    a.mov(ESP, Imm(0x10, 32))
+    a.ret()
+    labels["k"] = a.label("k")
+    a.add(EAX, 3)
+    a.ret()
+    labels["dg"] = a.label("dg")
+    a.push(Imm(labels["g"], 32))
+    a.ret()
+    labels["dh"] = a.label("dh")
+    a.push(Imm(labels["h"], 32))
+    a.ret()
+    image = BinaryImage("dispatch")
+    image.add_section(Section(".text", BASE, a.assemble(), Perm.RX))
+    return image, labels
+
+
+def _traced(engine, start):
+    image, labels = _dispatch_image()
+    emulator = Emulator(image, max_steps=1_000, engine=engine)
+    tracer = ChainExecutionTracer([labels[n] for n in ("g", "h", "k")])
+    tracer.install(emulator)
+    emulator.cpu.eip = labels[start]
+    result = emulator.run()
+    steps = [(s.address, s.esp, s.cycles, s.mnemonics) for s in tracer.steps]
+    return labels, result, steps, tracer.instructions_seen
+
+
+def test_ret_into_a_gadget_is_a_dispatch():
+    outcomes = {e: _traced(e, "dg")[2:] for e in ENGINES}
+    assert outcomes["block"] == outcomes["step"]
+    labels, result, steps, _ = _traced("block", "dg")
+    assert [s[0] for s in steps] == [labels["g"]]
+    assert steps[0][3] == ["add", "ret"]
+
+
+def test_fall_through_into_a_gadget_is_not_a_dispatch():
+    for engine in ENGINES:
+        labels, result, steps, seen = _traced(engine, "f")
+        assert result.steps == seen == 3  # mov, then g's add and ret ran
+        assert steps == [], engine
+
+
+def test_faulting_ret_records_nothing():
+    outcomes = {}
+    for engine in ENGINES:
+        labels, result, steps, seen = _traced(engine, "dh")
+        assert result.crashed, engine
+        outcomes[engine] = (steps, seen)
+        # h was dispatched into; its ret faulted before reaching k
+        assert [s[0] for s in steps] == [labels["h"]], engine
+        # stamped before h's mov and its (charged) faulting ret
+        h_body = Assembler().mov(ESP, Imm(0x10, 32)).ret().disassemble()
+        assert steps[0][2] == result.cycles - sum(map(cost_of, h_body))
+    assert outcomes["block"] == outcomes["step"]
 
 
 def test_jsonl_export(tmp_path, protected_wget_cleartext):

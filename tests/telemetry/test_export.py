@@ -6,6 +6,8 @@ import json
 import pytest
 
 from repro.telemetry import (
+    ChainExecutionTracer,
+    ChainStep,
     FlightRecorder,
     MetricsRegistry,
     Tracer,
@@ -224,6 +226,29 @@ def test_render_stats_trace_and_journal_and_chrome(tmp_path):
 
     with pytest.raises(ValueError):
         render_stats("mystery", {})
+
+
+def test_stats_renders_chain_traces(tmp_path, capsys):
+    from repro.cli import main
+
+    tracer = ChainExecutionTracer([0x1000, 0x2000], preferred=[0x2000])
+    tracer.steps = [
+        ChainStep(seq, address=addr, esp=0x8000, eip=addr, preferred=pref)
+        for seq, (addr, pref) in enumerate(
+            [(0x1000, False), (0x2000, True), (0x2000, True)]
+        )
+    ]
+    path = tmp_path / "chain.jsonl"
+    tracer.write_jsonl(str(path))
+    kind, records = load_artifact(str(path))
+    assert kind == "chain"
+    out = render_stats(kind, records)
+    assert "chain trace: 3 steps recorded (0 dropped)" in out
+    assert "preferred hits" in out and " 2" in out
+    assert "0x2000" in out  # the last gadget
+
+    assert main(["stats", str(path)]) == 0
+    assert f"{path} [chain]" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

@@ -70,8 +70,10 @@ def _best_of(fn, repeats=5):
 
 
 def test_disabled_guards_cost_under_five_percent_of_an_emulated_step():
-    """The hot-path guards (``profiler is not None``, ``rec.enabled``)
-    must stay well under 5% of the cost of emulating one instruction."""
+    """The hot-path guards (``observer is not None``, the one check
+    ``Emulator.step`` and the block engine make for the run observer;
+    ``rec.enabled``) must stay well under 5% of the cost of emulating
+    one instruction."""
     emu = Emulator(_loop_image(2000), max_steps=1_000_000, engine="step")
     emu.call_function(BASE)  # warm the decode caches
 
@@ -82,7 +84,7 @@ def test_disabled_guards_cost_under_five_percent_of_an_emulated_step():
         return (time.perf_counter() - t0) / (emu.steps - start)
 
     rec = FlightRecorder(enabled=False)
-    profiler = None
+    observer = None
     n = 100_000
 
     def guarded_loop():
@@ -90,8 +92,8 @@ def test_disabled_guards_cost_under_five_percent_of_an_emulated_step():
         for _ in range(n):
             if rec.enabled:
                 rec.record("k")
-            if profiler is not None:
-                profiler.record_step(BASE, None)
+            if observer is not None:
+                observer.record_step(BASE, None)
         return time.perf_counter() - t0
 
     def bare_loop():
